@@ -14,12 +14,14 @@ import io
 import json
 import os
 import sys
+from collections import Counter
 
 from . import getzler, keel, strata, zeta
 from .algebra import (
     is_prime,
     poly_add,
     poly_eval,
+    poly_scale,
     poly_str,
     require_prime,
     require_prime_power,
@@ -109,59 +111,55 @@ def cmd_strata(args):
     if args.q is not None:
         require_prime_power(args.q)
     table = strata.strata_table(args.n)
+    kinds = Counter(row.count_poly for row in table)
     total_poly = ()
-    for row in table:
-        total_poly = poly_add(total_poly, row.count_poly)
-    rows = []
-    for row in table:
-        rows.append({
-            "tree": strata.tree_serial(row.tree),
-            "vertices": row.tree.vertex_count,
-            "edges": row.edge_count,
-            "count_poly": row.count_poly,
-            "count": poly_eval(row.count_poly, args.q) if args.q is not None else None,
-        })
+    for poly, mult in kinds.items():
+        total_poly = poly_add(total_poly, poly_scale(poly, mult))
+    # each distinct count polynomial is evaluated, and rendered, once per call
+    counts = {p: str(poly_eval(p, args.q)) for p in kinds} if args.q is not None else None
+    rows = [(strata.tree_serial(row.tree), row.tree.vertex_count, row.edge_count, row.count_poly)
+            for row in table]
     total = strata.stratified_count(args.n, args.q) if args.q is not None else None
 
     if args.format == "json":
+        coeffs = {p: [str(c) for c in p] for p in kinds}
         payload = {
             "n": args.n,
             "q": args.q,
             "strata": [
                 {
-                    "tree": r["tree"],
-                    "vertices": r["vertices"],
-                    "edges": r["edges"],
-                    "count_poly": [str(c) for c in r["count_poly"]],
-                    "count": None if r["count"] is None else str(r["count"]),
+                    "tree": tree,
+                    "vertices": vertices,
+                    "edges": edges,
+                    "count_poly": coeffs[poly],
+                    "count": None if counts is None else counts[poly],
                 }
-                for r in rows
+                for tree, vertices, edges, poly in rows
             ],
             "total_poly": [str(c) for c in total_poly],
             "total": None if total is None else str(total),
         }
         return 0, _json_text(payload)
 
-    def render_poly(p, latex=False):
-        return poly_str(p, "q", descending=True, latex=latex)
+    latex = args.format == "latex"
+    texts = {p: poly_str(p, "q", descending=True, latex=latex) for p in [*kinds, total_poly]}
 
     if args.format == "csv":
         header = ["tree", "vertices", "edges", "count_poly"]
         if args.q is not None:
             header.append("count")
         out = []
-        for r in rows:
-            line = [r["tree"], r["vertices"], r["edges"], render_poly(r["count_poly"])]
+        for tree, vertices, edges, poly in rows:
+            line = [tree, vertices, edges, texts[poly]]
             if args.q is not None:
-                line.append(str(r["count"]))
+                line.append(counts[poly])
             out.append(line)
-        totals = ["TOTAL", "", "", render_poly(total_poly)]
+        totals = ["TOTAL", "", "", texts[total_poly]]
         if args.q is not None:
             totals.append(str(total))
         out.append(totals)
         return 0, _csv_text(header, out)
 
-    latex = args.format == "latex"
     lines = []
     if latex:
         cols = "lrrl" + ("r" if args.q is not None else "")
@@ -170,36 +168,30 @@ def cmd_strata(args):
         if args.q is not None:
             head.append("count at $q=%d$" % args.q)
         lines.append(" & ".join(head) + r" \\")
-        for r in rows:
-            cells = [
-                r"\verb|%s|" % r["tree"],
-                str(r["vertices"]),
-                str(r["edges"]),
-                "$%s$" % render_poly(r["count_poly"], latex=True),
-            ]
+        for tree, vertices, edges, poly in rows:
+            cells = [r"\verb|%s|" % tree, str(vertices), str(edges), "$%s$" % texts[poly]]
             if args.q is not None:
-                cells.append(str(r["count"]))
+                cells.append(counts[poly])
             lines.append(" & ".join(cells) + r" \\")
-        totals = ["total", "", "", "$%s$" % render_poly(total_poly, latex=True)]
+        totals = ["total", "", "", "$%s$" % texts[total_poly]]
         if args.q is not None:
             totals.append(str(total))
         lines.append(" & ".join(totals) + r" \\")
         lines.append(r"\end{tabular}")
         return 0, "\n".join(lines) + "\n"
 
-    width = max(len("TOTAL"), max(len(r["tree"]) for r in rows))
-    polys = [render_poly(r["count_poly"]) for r in rows] + [render_poly(total_poly)]
-    pwidth = max(len("count_poly"), max(len(p) for p in polys))
+    width = max(len("TOTAL"), max(len(r[0]) for r in rows))
+    pwidth = max(len("count_poly"), max(len(t) for t in texts.values()))
     head = "%-*s  %8s  %5s  %-*s" % (width, "tree", "vertices", "edges", pwidth, "count_poly")
     if args.q is not None:
         head += "  count(q=%d)" % args.q
     lines.append(head.rstrip())
-    for r, ptext in zip(rows, polys):
-        line = "%-*s  %8d  %5d  %-*s" % (width, r["tree"], r["vertices"], r["edges"], pwidth, ptext)
+    for tree, vertices, edges, poly in rows:
+        line = "%-*s  %8d  %5d  %-*s" % (width, tree, vertices, edges, pwidth, texts[poly])
         if args.q is not None:
-            line += "  %d" % r["count"]
+            line += "  " + counts[poly]
         lines.append(line.rstrip())
-    total_line = "%-*s  %8s  %5s  %-*s" % (width, "TOTAL", "", "", pwidth, polys[-1])
+    total_line = "%-*s  %8s  %5s  %-*s" % (width, "TOTAL", "", "", pwidth, texts[total_poly])
     if args.q is not None:
         total_line += "  %d" % total
     lines.append(total_line.rstrip())

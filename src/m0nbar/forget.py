@@ -22,7 +22,7 @@ from math import comb
 from .algebra import poly_eval, require_prime_power
 from .keel import point_count
 from .report import VerificationReport, make_report
-from .strata import DualTree, boundary_edge_sum, strata_table, stratified_count
+from .strata import DualTree, boundary_edge_sum, stratified_count, stratum_census
 
 
 def fiber_size(k_rho: int, q: int) -> int:
@@ -95,11 +95,15 @@ def verify_lemma4(n: int, q: int) -> VerificationReport:
 
 
 def verify_fiber_sum(n: int, q: int) -> VerificationReport:
-    """Check sum over strata of (stratum size) * (fiber size) = |Mbar_{0,n+1}|."""
+    """Check sum over strata of (stratum size) * (fiber size) = |Mbar_{0,n+1}|.
+
+    The strata are summed by type: each census entry stands for mult strata
+    with the same count polynomial and the same k(rho).
+    """
     require_prime_power(q)
     lhs = sum(
-        poly_eval(row.count_poly, q) * fiber_size(row.edge_count, q)
-        for row in strata_table(n)
+        mult * poly_eval(poly, q) * fiber_size(edges, q)
+        for (poly, edges), mult in stratum_census(n)
     )
     rhs = stratified_count(n + 1, q)
     return make_report("fiber-sum", {"n": n, "q": q}, lhs, rhs)

@@ -8,44 +8,46 @@ Stability is the valence bound
 
     (incident edges) + (assigned legs) >= 3   at every vertex.
 
-Enumeration runs over the number of vertices p = 1 .. n-2: every unlabeled
-tree shape on p vertices is generated (Pruefer sequences, deduplicated up to
-isomorphism), the n leg labels are distributed over the shape's vertices
-subject to the valence bound, and the result is canonicalized.  Duplicate
-avoidance is a plain set of canonical serializations; at this scale (n <= 8
-gives 39208 trees) robustness beats cleverness.
+Enumeration roots each tree at the vertex carrying leg n.  Every vertex
+splits the legs below it into at least two blocks, each a leg on it or a
+subtree below it: Schroeder's total partitions of {1..n-1} (OEIS A000311),
+so each tree comes out once.  A vertex with b blocks has valence b + 1, so
+the same splits give the census of stratum types without building a tree.
 
 Canonical form: a tree is serialized rooted at each graph-theoretic center
 as "(sorted,legs;child1child2...)" with children sorted by their own
 serialization, and the lexicographically smaller string wins.  Sibling
-serializations never tie because sibling subtrees carry disjoint, nonempty
-leg sets, so the string is a complete isomorphism invariant.  DualTree
-values are rebuilt by parsing their canonical string, which makes == on
-DualTree equality of leg-labeled isomorphism classes.
+subtrees carry disjoint, nonempty leg sets, so siblings never tie and the
+string is a complete invariant.  A DualTree is numbered in the order of its
+string and keeps it, so == on DualTree is leg-labeled isomorphism.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import lru_cache
-from heapq import heapify, heappop, heappush
+from collections import Counter
+from dataclasses import dataclass, field
+from functools import lru_cache, reduce
+from math import prod
+from operator import itemgetter
 
 from .algebra import IntPoly, is_prime, poly_eval, poly_mul, require_prime_power
 
 ORBIT_GUARD_MAX_Q = 7   # (q+1)!/(q+1-n)! canonicalizations; 8!/1 worst case
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DualTree:
     """Combinatorial type of a stable genus-zero curve, in canonical numbering.
 
     edges is a sorted tuple of sorted vertex pairs; legs[i] is the vertex
-    carrying leg label i+1.
+    carrying leg label i+1.  serial, when set, is the canonical
+    serialization; it takes no part in ==.
     """
     vertex_count: int
     edges: tuple
     legs: tuple
+    serial: str = field(default="", compare=False)
 
     @property
     def n_legs(self) -> int:
@@ -65,7 +67,7 @@ class DualTree:
         return tuple(val)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StratumInfo:
     """One stratum row: its tree, point-count polynomial in q, and k(rho)."""
     tree: DualTree
@@ -74,7 +76,51 @@ class StratumInfo:
 
 
 # ---------------------------------------------------------------------------
-# canonical serialization
+# canonical form
+
+def _node(legs, kids) -> tuple:
+    """(serial, legs, kids, height): the part of a tree below one vertex and
+    away from one neighbour, serialized from that vertex, with the vertex's
+    sorted legs, its kid nodes sorted by serial, and its height in edges."""
+    kids = sorted(kids)
+    serial = "(%s;%s)" % (",".join(map(str, legs)), "".join([k[0] for k in kids]))
+    return serial, legs, kids, 1 + max([k[3] for k in kids], default=-1)
+
+
+def _hang(adj, legs_at, v, parent=-1) -> tuple:
+    return _node(legs_at[v], [_hang(adj, legs_at, u, v) for u in adj[v] if u != parent])
+
+
+def _centred(legs, kids) -> tuple:
+    """The tree with top vertex (legs, kids) as a node rooted at its center,
+    found by walking towards the deepest kid while that lowers eccentricity."""
+    up, up_len = [], 0  # the branch above the current vertex, and its length
+    while kids:
+        deep = max(kids, key=itemgetter(3))
+        far = max([up_len] + [k[3] + 1 for k in kids if k is not deep])
+        if deep[3] < far:
+            break
+        above = _node(legs, [b for b in kids + up if b is not deep])
+        if deep[3] == far:  # two centers: the smaller serialization wins
+            return min(_node(legs, kids + up), _node(deep[1], deep[2] + [above]))
+        legs, kids, up, up_len = deep[1], deep[2], [above], far + 1
+    return _node(legs, kids + up)
+
+
+def _numbered(root, n: int, shapes: dict) -> DualTree:
+    """The DualTree of a centred node, its vertices numbered in serial order."""
+    edges, legs, stack, count = [], [0] * n, [(root, -1)], 0
+    while stack:
+        (_, labels, kids, _), parent = stack.pop()
+        if parent >= 0:
+            edges.append((parent, count))
+        for label in labels:
+            legs[label - 1] = count
+        stack.extend([(k, count) for k in reversed(kids)])
+        count += 1
+    edges = tuple(sorted(edges))  # trees of one shape share one tuple
+    return DualTree(count, shapes.setdefault(edges, edges), tuple(legs), root[0])
+
 
 def _adjacency(vertex_count, edges):
     adj = [[] for _ in range(vertex_count)]
@@ -82,39 +128,6 @@ def _adjacency(vertex_count, edges):
         adj[a].append(b)
         adj[b].append(a)
     return adj
-
-
-def _centers(adj) -> list:
-    """Graph-theoretic center(s) of a tree: one or two vertices."""
-    p = len(adj)
-    if p <= 2:
-        return list(range(p))
-    deg = [len(nb) for nb in adj]
-    alive = p
-    layer = [v for v in range(p) if deg[v] == 1]
-    while alive > 2:
-        alive -= len(layer)
-        nxt = []
-        for v in layer:
-            deg[v] = 0
-            for u in adj[v]:
-                if deg[u] > 0:
-                    deg[u] -= 1
-                    if deg[u] == 1:
-                        nxt.append(u)
-        layer = nxt
-    return sorted(layer)
-
-
-def _serial_from(root, adj, legs_at) -> str:
-    def rec(v, parent):
-        parts = sorted(rec(u, v) for u in adj[v] if u != parent)
-        return "(%s;%s)" % (",".join(map(str, legs_at[v])), "".join(parts))
-    return rec(root, -1)
-
-
-def _canonical_serial(adj, legs_at) -> str:
-    return min(_serial_from(c, adj, legs_at) for c in _centers(adj))
 
 
 def _parse_serial(serial: str) -> DualTree:
@@ -148,19 +161,15 @@ def _parse_serial(serial: str) -> DualTree:
     n = len(legs)
     if sorted(legs) != list(range(1, n + 1)):
         raise ValueError("leg labels must be exactly 1..n")
-    return DualTree(
-        vertex_count=counter,
-        edges=tuple(sorted(tuple(sorted(e)) for e in edges)),
-        legs=tuple(legs[i] for i in range(1, n + 1)),
-    )
+    return DualTree(counter, tuple(sorted(tuple(sorted(e)) for e in edges)),
+                    tuple(legs[i] for i in range(1, n + 1)), serial)
 
 
 def tree_serial(tree: DualTree) -> str:
     """Canonical serialization of a dual tree (a complete invariant)."""
-    legs_at = [[] for _ in range(tree.vertex_count)]
-    for label, v in enumerate(tree.legs, start=1):
-        legs_at[v].append(label)
-    return _canonical_serial(_adjacency(tree.vertex_count, tree.edges), legs_at)
+    if tree.serial:
+        return tree.serial
+    return make_tree(tree.vertex_count, tree.edges, dict(enumerate(tree.legs, start=1))).serial
 
 
 def make_tree(vertex_count: int, edges, legs) -> DualTree:
@@ -202,75 +211,42 @@ def make_tree(vertex_count: int, edges, legs) -> DualTree:
     for v in range(vertex_count):
         if len(adj[v]) + len(legs_at[v]) < 3:
             raise ValueError("vertex %d has valence < 3 (not stable)" % v)
-    return _parse_serial(_canonical_serial(adj, legs_at))
+    return _numbered(_centred(*_hang(adj, legs_at, 0)[1:3]), n, {})
 
 
 # ---------------------------------------------------------------------------
 # enumeration
 
-def _pruefer_edges(seq, p):
-    degree = [1] * p
-    for v in seq:
-        degree[v] += 1
-    leaves = [v for v in range(p) if degree[v] == 1]
-    heapify(leaves)
-    edges = []
-    for v in seq:
-        leaf = heappop(leaves)
-        edges.append((leaf, v))
-        degree[v] -= 1
-        if degree[v] == 1:
-            heappush(leaves, v)
-    edges.append((heappop(leaves), heappop(leaves)))
-    return edges
-
-
-@lru_cache(maxsize=None)
-def _tree_shapes(p: int) -> tuple:
-    """All unlabeled trees on p vertices, as adjacency tuples."""
-    if p == 1:
-        return (((),),)
-    if p == 2:
-        return (((1,), (0,)),)
-    no_legs = [[] for _ in range(p)]
-    shapes = {}
-    for seq in itertools.product(range(p), repeat=p - 2):
-        adj = _adjacency(p, _pruefer_edges(seq, p))
-        key = _canonical_serial(adj, no_legs)
-        if key not in shapes:
-            shapes[key] = tuple(tuple(sorted(nb)) for nb in adj)
-    return tuple(shapes[k] for k in sorted(shapes))
-
-
-def _leg_distributions(adj, n):
-    """Yield legs-per-vertex lists meeting each vertex's valence deficit."""
-    p = len(adj)
-    deficit = [max(0, 3 - len(adj[v])) for v in range(p)]
-    if sum(deficit) > n:
+def _partitions(labels):
+    """Every set partition of the tuple labels, as a list of sorted blocks."""
+    if not labels:
+        yield []
         return
-    # vertices with the largest deficits first, so infeasible branches die early
-    order = sorted(range(p), key=lambda v: -deficit[v])
-    tail_need = [0] * (p + 1)
-    for i in range(p - 1, -1, -1):
-        tail_need[i] = tail_need[i + 1] + deficit[order[i]]
-    legs_at = [()] * p
+    last = labels[-1:]
+    for blocks in _partitions(labels[:-1]):
+        for i in range(len(blocks)):
+            yield blocks[:i] + [blocks[i] + last] + blocks[i + 1:]
+        yield blocks + [last]
 
-    def rec(i, remaining):
-        v = order[i]
-        if i == p - 1:
-            if len(remaining) >= deficit[v]:
-                legs_at[v] = remaining
-                yield legs_at
-            return
-        lo = deficit[v]
-        hi = len(remaining) - tail_need[i + 1]
-        for size in range(lo, hi + 1):
-            for chosen in itertools.combinations(remaining, size):
-                legs_at[v] = chosen
-                rest = tuple(x for x in remaining if x not in chosen)
-                yield from rec(i + 1, rest)
 
-    yield from rec(0, tuple(range(1, n + 1)))
+def _splits(labels):
+    """Each way a vertex splits the legs below it: (its legs, larger blocks)."""
+    for blocks in _partitions(labels):
+        if len(blocks) > 1:
+            yield tuple(b[0] for b in blocks if len(b) == 1), [b for b in blocks if len(b) > 1]
+
+
+def _tops(labels, memo):
+    """Each top vertex (legs, kids) of a subtree with exactly the legs labels."""
+    for legs, blocks in _splits(labels):
+        for kids in itertools.product(*[_subtrees(b, memo) for b in blocks]):
+            yield legs, list(kids)
+
+
+def _subtrees(labels, memo) -> list:
+    if labels not in memo:
+        memo[labels] = [_node(legs, kids) for legs, kids in _tops(labels, memo)]
+    return memo[labels]
 
 
 @lru_cache(maxsize=None)
@@ -281,15 +257,22 @@ def enumerate_stable_trees(n: int) -> tuple:
     """
     if n < 3:
         raise ValueError("n must be >= 3")
-    serials = set()
-    for p in range(1, n - 1):
-        for adj in _tree_shapes(p):
-            centers = _centers(adj)
-            for legs_at in _leg_distributions(adj, n):
-                serials.add(min(_serial_from(c, adj, legs_at) for c in centers))
-    # every vertex contributes exactly one "(", so this sorts by vertex count
-    ordered = sorted(serials, key=lambda s: (s.count("("), s))
-    return tuple(_parse_serial(s) for s in ordered)
+    shapes = {}
+    trees = [_numbered(_centred(legs + (n,), kids), n, shapes)
+             for legs, kids in _tops(tuple(range(1, n)), {})]
+    trees.sort(key=lambda t: (t.vertex_count, t.serial))
+    return tuple(trees)
+
+
+def _valence_types(labels, memo) -> Counter:
+    """Sorted valence tuples of the subtrees with exactly the legs labels."""
+    if labels not in memo:
+        memo[labels] = types = Counter()
+        for legs, blocks in _splits(labels):
+            own = (len(legs) + len(blocks) + 1,)  # blocks, plus the edge above
+            for combo in itertools.product(*[_valence_types(b, memo).items() for b in blocks]):
+                types[tuple(sorted(sum((v for v, _ in combo), own)))] += prod(m for _, m in combo)
+    return memo[labels]
 
 
 # ---------------------------------------------------------------------------
@@ -313,30 +296,47 @@ def open_stratum_poly(m: int) -> IntPoly:
 
 
 @lru_cache(maxsize=None)
+def _count_poly(valences: tuple) -> IntPoly:
+    """Point count of a stratum with this sorted valence tuple."""
+    return reduce(poly_mul, map(open_stratum_poly, valences), (1,))
+
+
+@lru_cache(maxsize=None)
 def strata_table(n: int) -> tuple:
     """StratumInfo for every stable tree with n legs, in enumeration order."""
-    rows = []
-    for tree in enumerate_stable_trees(n):
-        poly = (1,)
-        for m in tree.valences():
-            poly = poly_mul(poly, open_stratum_poly(m))
-        rows.append(StratumInfo(tree, poly, tree.edge_count))
-    return tuple(rows)
+    return tuple(
+        StratumInfo(tree, _count_poly(tuple(sorted(tree.valences()))), tree.edge_count)
+        for tree in enumerate_stable_trees(n)
+    )
+
+
+@lru_cache(maxsize=None)
+def stratum_census(n: int) -> tuple:
+    """((count_poly, edge_count), number of strata) for each stratum type.
+
+    Built from the nested splits alone: no tree is numbered or serialized.
+    """
+    if n < 3:
+        raise ValueError("n must be >= 3")
+    census = Counter()
+    for valences, mult in _valence_types(tuple(range(1, n)), {}).items():
+        census[_count_poly(valences), len(valences) - 1] += mult
+    return tuple(sorted(census.items()))
 
 
 def stratified_count(n: int, q: int) -> int:
     """|Mbar_{0,n}(F_q)| summed stratum by stratum over all dual trees."""
     require_prime_power(q)
-    return sum(poly_eval(row.count_poly, q) for row in strata_table(n))
+    return sum(mult * poly_eval(poly, q) for (poly, _), mult in stratum_census(n))
 
 
 def boundary_edge_sum(n: int, q: int) -> int:
     """Sum of k(rho) over the F_q-points rho of the boundary strata."""
     require_prime_power(q)
     return sum(
-        row.edge_count * poly_eval(row.count_poly, q)
-        for row in strata_table(n)
-        if row.edge_count
+        mult * edges * poly_eval(poly, q)
+        for (poly, edges), mult in stratum_census(n)
+        if edges
     )
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -109,6 +110,24 @@ def test_strata_guard_env(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "strata", "--n", "7")
     assert code == 0
     assert len(out.splitlines()) == 2754  # header + 2752 strata + totals
+
+
+# sha256 of `strata --n 7 --q 9` in each format, pinned from the output of
+# the Pruefer-shape enumerator this package used before the total-partition
+# generator replaced it
+STRATA_N7_Q9_SHA256 = {
+    "plain": "3e3d99fcad613b7770889176bed1bcff149d7cdc86de2c412f7d8d1cb8635087",
+    "json": "c0ed096e4e916dac5210de76fdafc384dfd9a976a84757bcaf98adbdb4dc7b38",
+    "csv": "5c8e101b3212be688dc3dccd473cd013853cd4d44376f1b24d88f43031ccaa9c",
+    "latex": "b9653413c2fdc681a33d76cf7a7ffee4a8d4360d76a3b77e216066b8a2ed47cd",
+}
+
+
+def test_strata_output_digests(capsys):
+    for fmt, digest in STRATA_N7_Q9_SHA256.items():
+        code, out, _ = run_cli(capsys, "strata", "--n", "7", "--q", "9", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
 
 
 def test_zeta_plain(capsys):

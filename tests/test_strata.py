@@ -1,3 +1,6 @@
+import hashlib
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -5,6 +8,7 @@ import pytest
 from m0nbar.algebra import poly_add, poly_eval, poly_mul, poly_scale, ratpoly
 from m0nbar.keel import poincare_poly
 from m0nbar.strata import (
+    DualTree,
     boundary_edge_sum,
     enumerate_stable_trees,
     make_tree,
@@ -12,6 +16,7 @@ from m0nbar.strata import (
     orbit_count_direct,
     strata_table,
     stratified_count,
+    stratum_census,
     tree_serial,
 )
 
@@ -61,6 +66,65 @@ GOLDEN_N5 = [
 def test_golden_serializations():
     for n, golden in ((3, GOLDEN_N3), (4, GOLDEN_N4), (5, GOLDEN_N5)):
         assert [tree_serial(t) for t in enumerate_stable_trees(n)] == golden
+
+
+# sha256 of the newline-joined serials in enumeration order, pinned from the
+# Pruefer-shape enumerator this package used before the total-partition
+# generator replaced it
+SERIALS_SHA256 = {
+    6: "01abd05d1f88b3a9790cd06ecc80c7fff01fa97553eacec3aefaa10bb83f8bee",
+    7: "e4c4548c308692f577720550e614658d24c788a4a7555af7ab7a0aba74a46cf2",
+    8: "74e78b0bd55401dfd9cb9a46fa234f2dd9aec798a8f667666be183c920269cf3",
+}
+
+# stable trees with n legs: OEIS A000311 at n - 1
+SCHROEDER = {3: 1, 4: 4, 5: 26, 6: 236, 7: 2752, 8: 39208, 9: 660032}
+
+
+def test_serial_digests_pinned():
+    for n, digest in SERIALS_SHA256.items():
+        text = "\n".join(tree_serial(t) for t in enumerate_stable_trees(n))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, n
+
+
+def test_census_matches_table():
+    for n in range(3, 9):
+        rows = Counter((row.count_poly, row.edge_count) for row in strata_table(n))
+        assert dict(stratum_census(n)) == rows
+
+
+def test_census_sizes_are_schroeder():
+    trees_before = enumerate_stable_trees.cache_info()
+    for n, size in SCHROEDER.items():
+        assert sum(mult for _, mult in stratum_census(n)) == size
+    # the census enumerates no trees, so n = 9 is answered without them
+    assert enumerate_stable_trees.cache_info() == trees_before
+    with pytest.raises(ValueError):
+        stratum_census(2)
+
+
+def test_make_tree_ignores_numbering():
+    # every enumerated tree, renumbered at random, canonicalizes back to itself
+    rng = random.Random(2718)
+    for n in (5, 6, 7):
+        for tree in rng.sample(enumerate_stable_trees(n), 20):
+            perm = list(range(tree.vertex_count))
+            rng.shuffle(perm)
+            edges = [(perm[a], perm[b]) for a, b in tree.edges]
+            legs = [perm[v] for v in tree.legs]
+            again = make_tree(tree.vertex_count, edges, dict(enumerate(legs, start=1)))
+            assert again == tree and again.serial == tree_serial(tree)
+            bare = DualTree(tree.vertex_count, tuple(edges), tuple(legs))
+            assert tree_serial(bare) == tree_serial(tree)
+
+
+def test_dual_tree_serial_is_not_compared():
+    bare = DualTree(1, (), (0, 0, 0))
+    made = make_tree(1, [], {1: 0, 2: 0, 3: 0})
+    assert made.serial == "(1,2,3;)" and bare.serial == ""
+    assert bare == made and hash(bare) == hash(made)
+    assert tree_serial(bare) == "(1,2,3;)"
+    assert not hasattr(bare, "__dict__")
 
 
 def test_enumeration_counts_small():
