@@ -47,7 +47,6 @@ from .strata import (
     orbit_count_direct,
     strata_table,
     stratified_count,
-    stratum_census,
     tree_serial,
 )
 from .zeta import (
@@ -99,7 +98,6 @@ __all__ = [
     "series_g",
     "strata_table",
     "stratified_count",
-    "stratum_census",
     "tree_serial",
     "verify_count_recurrence",
     "verify_fiber_sum",

@@ -162,7 +162,7 @@ def _parse_serial(serial: str) -> DualTree:
     if sorted(legs) != list(range(1, n + 1)):
         raise ValueError("leg labels must be exactly 1..n")
     return DualTree(counter, tuple(sorted(tuple(sorted(e)) for e in edges)),
-                    tuple(legs[i] for i in range(1, n + 1)), serial)
+                    tuple(legs[i] for i in range(1, n + 1)))
 
 
 def tree_serial(tree: DualTree) -> str:

@@ -77,14 +77,34 @@ SERIALS_SHA256 = {
     8: "74e78b0bd55401dfd9cb9a46fa234f2dd9aec798a8f667666be183c920269cf3",
 }
 
+# sha256 of the newline-joined "vertex_count edges legs" lines, pinned from
+# the same enumerator
+STRUCTURE_SHA256 = {
+    6: "4a77d732898837c72b8bb90a39f38d736549f760670767050d1e1b0977807f1b",
+    7: "14b92b3c4bf8aad56e454aae6255290c1751ffd77b5fef3b319d10e0ab0a5211",
+    8: "9a10ef4663cb22044906cdbc4dd25202e1679ffe5f09a0af380c4bc191230efd",
+}
+
 # stable trees with n legs: OEIS A000311 at n - 1
 SCHROEDER = {3: 1, 4: 4, 5: 26, 6: 236, 7: 2752, 8: 39208, 9: 660032}
 
 
+def _sha256_lines(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
 def test_serial_digests_pinned():
-    for n, digest in SERIALS_SHA256.items():
-        text = "\n".join(tree_serial(t) for t in enumerate_stable_trees(n))
-        assert hashlib.sha256(text.encode()).hexdigest() == digest, n
+    # serials are recomputed from each tree's edges and legs, so the two
+    # digests also pin the link between a tree's structure and its serial
+    for n in SERIALS_SHA256:
+        trees = enumerate_stable_trees(n)
+        assert _sha256_lines(
+            make_tree(t.vertex_count, t.edges, dict(enumerate(t.legs, start=1))).serial
+            for t in trees
+        ) == SERIALS_SHA256[n], n
+        assert _sha256_lines(
+            "%d %s %s" % (t.vertex_count, t.edges, t.legs) for t in trees
+        ) == STRUCTURE_SHA256[n], n
 
 
 def test_census_matches_table():
@@ -170,6 +190,9 @@ def test_serialization_round_trip():
             s = tree_serial(t)
             assert _parse_serial(s) == t
             assert tree_serial(_parse_serial(s)) == s
+    # well-formed but not canonical: children unsorted, or rooted off center
+    for s in ("(5;(3,4;)(1,2;))", "(3,4;(5;(1,2;)))"):
+        assert tree_serial(_parse_serial(s)) == "(5;(1,2;)(3,4;))"
 
 
 def test_make_tree_canonicalizes():
