@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 # Polynomials are coefficient tuples in canonical form; IntPoly carries ints,
 # RatPoly carries Fractions.  The arithmetic below is generic over both.
@@ -84,11 +85,6 @@ def poly_scale(a, c) -> tuple:
     if c == 0:
         return ()
     return normalize(x * c for x in a)
-
-
-def poly_shift(a) -> tuple:
-    """Multiply by the indeterminate (prepend a zero coefficient)."""
-    return (0,) + tuple(a) if a else ()
 
 
 def poly_eval(p, x):
@@ -274,39 +270,159 @@ def series_compose(f: BiSeries, g: BiSeries) -> BiSeries:
 
 
 # ---------------------------------------------------------------------------
-# integer plumbing: factorization and prime-power checks
+# integer plumbing: primality, prime powers and factorization
+#
+# Primality is certified by trial division up to _TRIAL_BOUND and then by the
+# strong probable-prime test on the first 13 prime bases, which no composite
+# below MILLER_RABIN_LIMIT passes (Sorenson and Webster, "Strong pseudoprimes
+# to twelve prime bases", Math. Comp. 86 (2017), arXiv:1509.00864).  Above the
+# limit a witness still proves a number composite; one without a witness is
+# refused, not guessed.
 
-def factorize(m: int) -> dict:
-    """Trial-division factorization of m >= 2, as {prime: exponent}."""
+def _primes_below(bound: int) -> tuple:
+    sieve = bytearray([1]) * bound
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(bound - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, bound, p)))
+    return tuple(p for p, flag in enumerate(sieve) if flag)
+
+
+_TRIAL_BOUND = 1000
+_SMALL_PRIMES = _primes_below(_TRIAL_BOUND)
+_PRIME_SQUARES = tuple((p, p * p) for p in _SMALL_PRIMES)
+_MR_BASES = _SMALL_PRIMES[:13]          # 2, 3, 5, ..., 41
+MILLER_RABIN_LIMIT = 3317044064679887385961981
+FACTOR_CAP = 1 << 16                    # largest trial divisor in factorize
+
+
+def _strong_probable_prime(m: int, bases) -> bool:
+    """m odd and coprime to every base: does m pass Miller-Rabin on each one?"""
+    d, r = m - 1, 0
+    while not d & 1:
+        d >>= 1
+        r += 1
+    for a in bases:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _certify_prime(m: int) -> bool:
+    """Primality of an m with no prime factor below _TRIAL_BOUND.
+
+    Above MILLER_RABIN_LIMIT no set of bases is a proof, so one base is
+    tried: a witness still proves m composite, and otherwise m is refused.
+    """
+    if m < MILLER_RABIN_LIMIT:
+        return _strong_probable_prime(m, _MR_BASES)
+    if not _strong_probable_prime(m, _MR_BASES[:1]):
+        return False
+    raise ValueError(
+        "cannot certify %d as prime: Miller-Rabin on the first 13 prime bases "
+        "is a proof only below %d" % (m, MILLER_RABIN_LIMIT)
+    )
+
+
+def _iroot(m: int, k: int) -> int:
+    """floor(m ** (1/k)) for m >= 1, by integer Newton steps from above."""
+    x = 1 << -(-m.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + m // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _power_base(m: int) -> tuple:
+    """(r, e) with m = r**e and r no perfect power; m has no factor below _TRIAL_BOUND.
+
+    A k-th root of such an m exceeds _TRIAL_BOUND, which bounds the prime
+    exponents k worth trying.
+    """
+    e = 1
+    for k in _SMALL_PRIMES:
+        if _TRIAL_BOUND ** k > m:
+            break
+        root = _iroot(m, k)
+        while root ** k == m:
+            m, e = root, e * k
+            root = _iroot(m, k)
+    return m, e
+
+
+def is_prime(m: int) -> bool:
+    """Exact primality; raises ValueError where no proof is at hand."""
+    for p, square in _PRIME_SQUARES:
+        if square > m:
+            return m >= 2
+        if m % p == 0:
+            return m == p
+    return _certify_prime(m)
+
+
+def is_prime_power(m: int) -> bool:
+    """Is m = p^k for a prime p and k >= 1?  Raises ValueError if p cannot be
+    certified (it passes Miller-Rabin but lies above MILLER_RABIN_LIMIT)."""
+    for p, square in _PRIME_SQUARES:
+        if square > m:
+            return m >= 2
+        if m % p == 0:
+            while m % p == 0:
+                m //= p
+            return m == 1
+    return _certify_prime(_power_base(m)[0])
+
+
+def factorize(m: int) -> tuple:
+    """Factor m >= 2 as ({prime: exponent}, cofactor).
+
+    Trial division runs up to FACTOR_CAP, so every m below FACTOR_CAP**2
+    factors fully.  What is left above that is kept as one prime power when
+    it is a certified one, and is otherwise returned unfactored as the
+    cofactor; the cofactor is 1 when m factors fully.
+    """
     if m < 2:
         raise ValueError("factorize wants an integer >= 2")
     out = {}
     d = 2
-    while d * d <= m:
+    while d * d <= m and d <= FACTOR_CAP:
         while m % d == 0:
             out[d] = out.get(d, 0) + 1
             m //= d
         d += 1 if d == 2 else 2
-    if m > 1:
-        out[m] = out.get(m, 0) + 1
-    return out
+    if m > 1 and d * d > m:
+        out[m] = 1
+        m = 1
+    elif m > 1:
+        root, e = _power_base(m)
+        try:
+            certified = _certify_prime(root)
+        except ValueError:
+            certified = False
+        if certified:
+            out[root] = e
+            m = 1
+    return out, m
 
 
 def factorization_str(m: int) -> str:
     if m < 2:
         return str(m)
-    return " * ".join(
-        str(p) if e == 1 else "%d^%d" % (p, e)
-        for p, e in sorted(factorize(m).items())
-    )
-
-
-def is_prime(m: int) -> bool:
-    return m >= 2 and factorize(m) == {m: 1}
-
-
-def is_prime_power(m: int) -> bool:
-    return m >= 2 and len(factorize(m)) == 1
+    factors, cofactor = factorize(m)
+    parts = [
+        str(p) if e == 1 else "%d^%d" % (p, e) for p, e in sorted(factors.items())
+    ]
+    if cofactor > 1:
+        parts.append("%d (no prime factor up to %d)" % (cofactor, FACTOR_CAP))
+    return " * ".join(parts)
 
 
 def require_prime_power(q: int) -> None:

@@ -266,7 +266,15 @@ def _parse_q_list(text) -> tuple:
 
 
 def _verify_reports(target, max_n, qs, order):
-    guard = _strata_guard()
+    # strata and forget read the stratum census, forget at n+1; refuse a
+    # max-n past its guard before any report is computed
+    census_tops = {"strata": max_n, "forget": max_n + 1} if max_n is not None else {}
+    for name, top in census_tops.items():
+        if target in (name, "all") and top > strata.CENSUS_MAX_N:
+            raise ValueError(
+                "max-n %d needs the stratum census at n = %d, beyond its guard (%d)"
+                % (max_n, top, strata.CENSUS_MAX_N)
+            )
     reports = []
     if target in ("recurrence", "all"):
         top = max_n if max_n is not None else 8
@@ -274,10 +282,6 @@ def _verify_reports(target, max_n, qs, order):
             reports.extend(keel.verify_count_recurrence(top, q))
     if target in ("strata", "all"):
         top = max_n if max_n is not None else 7
-        if top > guard:
-            raise ValueError(
-                "max-n %d exceeds the stratum enumeration guard (%d)" % (top, guard)
-            )
         q_list = qs if qs is not None else DEFAULT_Q
         for q in q_list:
             for n in range(3, top + 1):
@@ -288,11 +292,6 @@ def _verify_reports(target, max_n, qs, order):
                     reports.append(_orbit_report(n, q))
     if target in ("forget", "all"):
         top = max_n if max_n is not None else 7
-        if top + 1 > guard:
-            raise ValueError(
-                "max-n %d needs strata for n+1 beyond the enumeration guard (%d)"
-                % (top, guard)
-            )
         q_list = qs if qs is not None else (2, 3, 4, 5, 7, 8, 9)
         for q in q_list:
             for n in range(3, top + 1):

@@ -30,6 +30,7 @@ from .algebra import (
     BiSeries,
     RatPoly,
     biseries,
+    biseries_x,
     poly_add,
     poly_mul,
     poly_neg,
@@ -88,19 +89,13 @@ def verify_inverse(order: int) -> list:
     """Check f(g(x)) = x and g(f(x)) = x exactly through x^order."""
     f = series_f(order)
     g = series_g(order)
-    identity = _x_series(order)
+    identity = biseries_x(order + 1)
     return [
         make_report("getzler-inverse", {"order": order, "direction": "f(g(x))"},
                     series_compose(f, g), identity, render=_biseries_brief),
         make_report("getzler-inverse", {"order": order, "direction": "g(f(x))"},
                     series_compose(g, f), identity, render=_biseries_brief),
     ]
-
-
-def _x_series(order: int) -> BiSeries:
-    coeffs = [()] * (order + 1)
-    coeffs[1] = (1,)
-    return biseries(order + 1, coeffs)
 
 
 def _biseries_brief(b: BiSeries) -> str:

@@ -15,24 +15,8 @@ from __future__ import annotations
 
 from math import comb
 
-from .algebra import (
-    IntPoly,
-    poly_add,
-    poly_eval,
-    poly_mul,
-    poly_scale,
-    poly_shift,
-    require_prime_power,
-)
+from .algebra import IntPoly, poly_eval, require_prime_power
 from .report import make_report
-
-
-def _exact_half(p: IntPoly) -> IntPoly:
-    # The pairing j <-> n-j makes the double sum even; an odd coefficient
-    # here means the recurrence was driven with corrupted rows.
-    if any(c % 2 for c in p):
-        raise ArithmeticError("half-sum is not an integer polynomial: %r" % (p,))
-    return tuple(c // 2 for c in p)
 
 
 class BettiTable:
@@ -50,15 +34,31 @@ class BettiTable:
     def ensure(self, n: int) -> None:
         if n < 3:
             raise ValueError("n must be >= 3")
+        rows = self._rows
         while self._max < n:
             m = self._max
-            conv = ()
-            for j in range(2, m - 1):
-                term = poly_mul(self._rows[j + 1], self._rows[m - j + 1])
-                conv = poly_add(conv, poly_scale(term, comb(m, j)))
-            half = _exact_half(conv)
-            row = poly_add(poly_mul((1, 1), self._rows[m]), poly_shift(half))
-            self._rows[m + 1] = row
+            # row m+1 has degree m-2; (1 + s) P_m goes in first
+            acc = [0] * (m - 1)
+            for i, c in enumerate(rows[m]):
+                acc[i] += c
+                acc[i + 1] += c
+            # Terms j and m-j of the double sum are equal, so the half-sum is
+            # the terms j < m/2 plus, for even m, half the middle term.  The
+            # factor s shifts every product one place up.
+            for j in range(2, m // 2 + 1):
+                weight = comb(m, j)
+                if 2 * j == m:
+                    weight, odd = divmod(weight, 2)
+                    if odd:
+                        raise ArithmeticError(
+                            "middle binomial C(%d, %d) is odd" % (m, j)
+                        )
+                longer = rows[m - j + 1]
+                for i, c in enumerate(rows[j + 1], 1):
+                    c *= weight
+                    for k, d in enumerate(longer, i):
+                        acc[k] += c * d
+            rows[m + 1] = tuple(acc)
             self._max = m + 1
 
     def row(self, n: int) -> IntPoly:

@@ -1,9 +1,12 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from m0nbar.algebra import (
+    _MR_BASES,
+    MILLER_RABIN_LIMIT,
     BiSeries,
     InexactDivisionError,
     Series,
@@ -20,9 +23,13 @@ from m0nbar.algebra import (
     poly_str,
     ratpoly,
     ratpoly_div_exact,
+    require_prime,
     require_prime_power,
     series_compose,
+    _strong_probable_prime,
 )
+from m0nbar.report import all_pass
+from m0nbar.zeta import verify_zeta_counts
 
 
 def test_add_basic():
@@ -170,3 +177,112 @@ def test_prime_powers():
     with pytest.raises(ValueError):
         require_prime_power(1)
     assert factorization_str(12) == "2^2 * 3"
+
+
+def _trial_division_reference(limit):
+    # smallest prime factor of every 2 <= m < limit, by plain trial division
+    primes = []     # the primes below sqrt(limit)
+    out = {}
+    for m in range(2, limit):
+        factor = m
+        for p in primes:
+            if p * p > m:
+                break
+            if m % p == 0:
+                factor = p
+                break
+        out[m] = factor
+        if factor == m and m * m < limit:
+            primes.append(m)
+    return out
+
+
+def test_prime_checks_match_trial_division():
+    for m in range(-3, 2):
+        assert not is_prime(m) and not is_prime_power(m)
+    for m, p in _trial_division_reference(200_000).items():
+        rest = m
+        while rest % p == 0:
+            rest //= p
+        assert is_prime(m) == (p == m), m
+        assert is_prime_power(m) == (rest == 1), m
+
+
+# consecutive primes just above 2^40
+P40 = 2**40 + 15
+P40_NEXT = 2**40 + 27
+
+# Carmichael numbers, then psi_1 .. psi_12: the least strong pseudoprime to
+# the first k prime bases (psi_7 = psi_8 and psi_9 = psi_10 = psi_11)
+PSEUDOPRIMES = (
+    561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 3825123056546413051, 318665857834031151167461,
+)
+
+
+def test_pseudoprimes_are_composite():
+    for m in PSEUDOPRIMES:
+        assert not is_prime(m), m
+        assert not is_prime_power(m), m
+    # psi_12 fools the first 12 bases and base 41 catches it; psi_13 fools
+    # all 13, which is why it is the bound, and so it is refused
+    assert _strong_probable_prime(PSEUDOPRIMES[-1], _MR_BASES[:12])
+    assert not _strong_probable_prime(PSEUDOPRIMES[-1], _MR_BASES)
+    assert _strong_probable_prime(MILLER_RABIN_LIMIT, _MR_BASES)
+    with pytest.raises(ValueError, match="cannot certify"):
+        is_prime(MILLER_RABIN_LIMIT)
+
+
+def test_large_prime_powers():
+    assert is_prime(P40) and is_prime(P40_NEXT)
+    assert not any(is_prime(m) for m in range(P40 + 1, P40_NEXT))
+    for k in (1, 2, 3):
+        assert is_prime_power(P40 ** k), k
+        assert is_prime(P40 ** k) == (k == 1)
+        assert not is_prime_power(2 * P40 ** k)
+        assert not is_prime_power(P40 ** k * P40_NEXT)
+    assert is_prime_power(P40 ** 6) and is_prime_power(3 ** 90)
+    assert not is_prime_power((P40 * P40_NEXT) ** 2)
+    # p^3 lies above the Miller-Rabin bound, its base prime below it
+    assert P40 ** 3 > MILLER_RABIN_LIMIT
+    require_prime_power(P40 ** 3)
+
+
+def test_prime_checks_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(1509)
+    for _ in range(300):
+        m = rng.getrandbits(rng.randrange(40, 81)) | 1
+        assert is_prime(m) == sympy.isprime(m), m
+    for _ in range(30):
+        p = sympy.nextprime(rng.getrandbits(rng.randrange(40, 81)))
+        k = rng.randrange(1, 4)
+        assert is_prime_power(p ** k), (p, k)
+        assert not is_prime_power(p ** k * sympy.nextprime(p))
+
+
+def test_zeta_counts_at_large_prime():
+    assert all_pass(verify_zeta_counts(120, P40, 3))
+
+
+def test_large_inputs_are_answered_fast():
+    t0 = time.perf_counter()
+    require_prime_power(2**61 - 1)
+    require_prime(2**61 - 1)
+    assert time.perf_counter() - t0 < 0.01
+
+
+def test_uncertifiable_and_unfactored_inputs():
+    # 2^89 - 1 is prime, but above the bound the 13 bases prove nothing
+    with pytest.raises(ValueError, match="cannot certify"):
+        require_prime_power(2**89 - 1)
+    product = P40 * P40_NEXT
+    t0 = time.perf_counter()
+    assert factorization_str(product) == "%d (no prime factor up to 65536)" % product
+    assert factorization_str(12 * P40 ** 2) == "2^2 * 3 * %d^2" % P40
+    assert time.perf_counter() - t0 < 0.5
+    with pytest.raises(ValueError, match="is not a prime power"):
+        require_prime_power(product)
+    assert factorization_str(2**32 - 5) == "4294967291"
+    assert factorization_str(2 * 3**5 * 65537) == "2 * 3^5 * 65537"

@@ -196,6 +196,20 @@ def test_verify_strata_small(capsys):
     assert "orbit-oracle" in out
 
 
+def test_verify_census_guard(capsys):
+    # strata and forget read the stratum census, not the enumeration, so
+    # they run past M0NBAR_STRATA_MAX_N up to the census guard
+    code, out, _ = run_cli(capsys, "verify", "strata", "--max-n", "9", "--q", "2,3")
+    assert code == 0
+    assert out.splitlines()[-1] == "PASS: all 17 identities hold"
+    code, out, _ = run_cli(capsys, "verify", "forget", "--max-n", "8", "--q", "2")
+    assert code == 0
+    for target, max_n in (("strata", "11"), ("forget", "10"), ("all", "11")):
+        code, _, err = run_cli(capsys, "verify", target, "--max-n", max_n)
+        assert code == 2
+        assert "beyond its guard (10)" in err
+
+
 def test_verify_getzler(capsys):
     code, out, _ = run_cli(capsys, "verify", "getzler", "--order", "8")
     assert code == 0
@@ -229,7 +243,7 @@ def test_verify_bad_inputs(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "verify", "nonsense")
     assert code == 2
-    code, _, err = run_cli(capsys, "verify", "strata", "--max-n", "9")
+    code, _, err = run_cli(capsys, "verify", "strata", "--max-n", "11")
     assert code == 2
     assert "guard" in err
     code, _, err = run_cli(capsys, "verify", "getzler", "--order", "12")

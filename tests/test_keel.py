@@ -1,5 +1,10 @@
+import hashlib
+from math import comb
+
 import pytest
 
+from m0nbar import keel
+from m0nbar.algebra import poly_add, poly_mul, poly_scale
 from m0nbar.keel import (
     BettiTable,
     betti,
@@ -103,3 +108,47 @@ def test_fresh_table_is_independent_of_module_state():
     assert table.betti(7, 9) == 0
     with pytest.raises(ValueError):
         table.ensure(2)
+
+
+# sha256 of the rows P_3 .. P_150, one comma-separated line per row, pinned
+# from the unpaired kernel that summed every j of the double sum
+ROWS_3_TO_150_SHA256 = "303e9911b2f2b9dc15dd8a1f5f656552ed5fd3727e72316fe9cc8e12139baeee"
+
+
+def test_rows_digest_pinned():
+    text = "\n".join(",".join(map(str, poincare_poly(k))) for k in range(3, 151))
+    assert hashlib.sha256(text.encode()).hexdigest() == ROWS_3_TO_150_SHA256
+
+
+def _unpaired_rows(n_max):
+    # the recurrence as written: every j from 2 to n-2, then the halving
+    rows = {3: (1,)}
+    for n in range(3, n_max):
+        total = ()
+        for j in range(2, n - 1):
+            total = poly_add(
+                total, poly_scale(poly_mul(rows[j + 1], rows[n - j + 1]), comb(n, j))
+            )
+        assert all(c % 2 == 0 for c in total)
+        half = tuple(c // 2 for c in total)
+        rows[n + 1] = poly_add(poly_mul((1, 1), rows[n]), poly_mul((0, 1), half))
+    return rows
+
+
+def test_paired_kernel_matches_unpaired_sum():
+    table = BettiTable()
+    for n, row in _unpaired_rows(40).items():
+        assert table.row(n) == row, n
+
+
+def test_middle_binomial_guard(monkeypatch):
+    # C(2k, k) is even, so only a corrupted binomial can trip the guard
+    def corrupted(n, k):
+        return comb(n, k) + (2 * k == n == 6)
+
+    monkeypatch.setattr(keel, "comb", corrupted)
+    table = BettiTable()
+    table.ensure(6)
+    assert table.row(6) == (1, 16, 16, 1)
+    with pytest.raises(ArithmeticError, match=r"C\(6, 3\) is odd"):
+        table.ensure(7)

@@ -121,6 +121,8 @@ def test_census_sizes_are_schroeder():
     assert enumerate_stable_trees.cache_info() == trees_before
     with pytest.raises(ValueError):
         stratum_census(2)
+    with pytest.raises(ValueError, match="census guard"):
+        stratum_census(11)
 
 
 def test_make_tree_ignores_numbering():
