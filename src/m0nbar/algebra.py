@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, log2
 
 # Polynomials are coefficient tuples in canonical form; IntPoly carries ints,
 # RatPoly carries Fractions.  The arithmetic below is generic over both.
@@ -332,8 +332,21 @@ def _certify_prime(m: int) -> bool:
 
 
 def _iroot(m: int, k: int) -> int:
-    """floor(m ** (1/k)) for m >= 1, by integer Newton steps from above."""
-    x = 1 << -(-m.bit_length() // k)
+    """floor(m ** (1/k)) for m >= 1, by integer Newton steps from above.
+
+    The steps start from a float estimate of the root raised by a margin, so
+    they take few iterations even for large k; should the estimate not lie
+    above the root, they start from 2**ceil(bits / k), which always does.
+    """
+    bits = m.bit_length()
+    shift = max(bits - 64, 0)
+    e, frac = divmod((log2(m >> shift) + shift) / k, 1.0)
+    x = int(2.0 ** frac * (1 << 53))
+    e = int(e) - 53
+    x = x << e if e >= 0 else x >> -e
+    x += (x >> 32) + 1
+    if x ** k <= m:
+        x = 1 << -(-bits // k)
     while True:
         y = ((k - 1) * x + m // x ** (k - 1)) // k
         if y >= x:
@@ -344,11 +357,13 @@ def _iroot(m: int, k: int) -> int:
 def _power_base(m: int) -> tuple:
     """(r, e) with m = r**e and r no perfect power; m has no factor below _TRIAL_BOUND.
 
-    A k-th root of such an m exceeds _TRIAL_BOUND, which bounds the prime
-    exponents k worth trying.
+    A k-th root of such an m exceeds _TRIAL_BOUND > 2**9, so k < bit_length/9
+    bounds the prime exponents k worth trying.
     """
     e = 1
-    for k in _SMALL_PRIMES:
+    bound = m.bit_length() // 9 + 2
+    primes = _SMALL_PRIMES if bound <= _TRIAL_BOUND else _primes_below(bound)
+    for k in primes:
         if _TRIAL_BOUND ** k > m:
             break
         root = _iroot(m, k)
@@ -385,8 +400,7 @@ def factorize(m: int) -> tuple:
     """Factor m >= 2 as ({prime: exponent}, cofactor).
 
     Trial division runs up to FACTOR_CAP, so every m below FACTOR_CAP**2
-    factors fully.  What is left above that is kept as one prime power when
-    it is a certified one, and is otherwise returned unfactored as the
+    factors fully.  What is left above that is returned unfactored as the
     cofactor; the cofactor is 1 when m factors fully.
     """
     if m < 2:
@@ -401,15 +415,6 @@ def factorize(m: int) -> tuple:
     if m > 1 and d * d > m:
         out[m] = 1
         m = 1
-    elif m > 1:
-        root, e = _power_base(m)
-        try:
-            certified = _certify_prime(root)
-        except ValueError:
-            certified = False
-        if certified:
-            out[root] = e
-            m = 1
     return out, m
 
 

@@ -43,16 +43,11 @@ class BettiTable:
                 acc[i] += c
                 acc[i + 1] += c
             # Terms j and m-j of the double sum are equal, so the half-sum is
-            # the terms j < m/2 plus, for even m, half the middle term.  The
-            # factor s shifts every product one place up.
+            # the terms j < m/2 plus, for even m, half the middle term, whose
+            # weight C(m, m/2) / 2 is C(m-1, m/2-1).  The factor s shifts
+            # every product one place up.
             for j in range(2, m // 2 + 1):
-                weight = comb(m, j)
-                if 2 * j == m:
-                    weight, odd = divmod(weight, 2)
-                    if odd:
-                        raise ArithmeticError(
-                            "middle binomial C(%d, %d) is odd" % (m, j)
-                        )
+                weight = comb(m - 1, j - 1) if 2 * j == m else comb(m, j)
                 longer = rows[m - j + 1]
                 for i, c in enumerate(rows[j + 1], 1):
                     c *= weight

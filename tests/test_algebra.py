@@ -6,6 +6,7 @@ import pytest
 
 from m0nbar.algebra import (
     _MR_BASES,
+    _iroot,
     MILLER_RABIN_LIMIT,
     BiSeries,
     InexactDivisionError,
@@ -244,9 +245,28 @@ def test_large_prime_powers():
         assert not is_prime_power(P40 ** k * P40_NEXT)
     assert is_prime_power(P40 ** 6) and is_prime_power(3 ** 90)
     assert not is_prime_power((P40 * P40_NEXT) ** 2)
+    # a prime exponent beyond the primes below the trial bound
+    assert is_prime_power(1009 ** 1009)
+    assert not is_prime_power((1009 * 1013) ** 1009)
+    require_prime_power(1009 ** 1009)
     # p^3 lies above the Miller-Rabin bound, its base prime below it
     assert P40 ** 3 > MILLER_RABIN_LIMIT
     require_prime_power(P40 ** 3)
+
+
+def test_iroot_is_the_floor_root():
+    rng = random.Random(9)
+    for _ in range(2000):
+        k = rng.randrange(2, 60)
+        root = rng.getrandbits(rng.randrange(1, 80)) or 1
+        for m in (root ** k - 1, root ** k, root ** k + 1, rng.getrandbits(400)):
+            if m >= 1:
+                r = _iroot(m, k)
+                assert r ** k <= m < (r + 1) ** k, (m, k)
+    for k in (2, 1009):
+        for m in (1009 ** k - 1, 1009 ** k, (10**300 + 7) ** k):
+            r = _iroot(m, k)
+            assert r ** k <= m < (r + 1) ** k, (m, k)
 
 
 def test_prime_checks_match_sympy():
@@ -280,7 +300,9 @@ def test_uncertifiable_and_unfactored_inputs():
     product = P40 * P40_NEXT
     t0 = time.perf_counter()
     assert factorization_str(product) == "%d (no prime factor up to 65536)" % product
-    assert factorization_str(12 * P40 ** 2) == "2^2 * 3 * %d^2" % P40
+    assert factorization_str(12 * P40 ** 2) == (
+        "2^2 * 3 * %d (no prime factor up to 65536)" % P40 ** 2
+    )
     assert time.perf_counter() - t0 < 0.5
     with pytest.raises(ValueError, match="is not a prime power"):
         require_prime_power(product)

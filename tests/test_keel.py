@@ -3,7 +3,6 @@ from math import comb
 
 import pytest
 
-from m0nbar import keel
 from m0nbar.algebra import poly_add, poly_mul, poly_scale
 from m0nbar.keel import (
     BettiTable,
@@ -139,16 +138,3 @@ def test_paired_kernel_matches_unpaired_sum():
     table = BettiTable()
     for n, row in _unpaired_rows(40).items():
         assert table.row(n) == row, n
-
-
-def test_middle_binomial_guard(monkeypatch):
-    # C(2k, k) is even, so only a corrupted binomial can trip the guard
-    def corrupted(n, k):
-        return comb(n, k) + (2 * k == n == 6)
-
-    monkeypatch.setattr(keel, "comb", corrupted)
-    table = BettiTable()
-    table.ensure(6)
-    assert table.row(6) == (1, 16, 16, 1)
-    with pytest.raises(ArithmeticError, match=r"C\(6, 3\) is odd"):
-        table.ensure(7)
