@@ -296,6 +296,14 @@ MILLER_RABIN_LIMIT = 3317044064679887385961981
 FACTOR_CAP = 1 << 16                    # largest trial divisor in factorize
 
 
+def _decimal(m: int) -> str:
+    """m in decimal, or its bit length when m is too long to print."""
+    try:
+        return str(m)
+    except ValueError:  # beyond sys.get_int_max_str_digits()
+        return "a %d-bit number" % m.bit_length()
+
+
 def _strong_probable_prime(m: int, bases) -> bool:
     """m odd and coprime to every base: does m pass Miller-Rabin on each one?"""
     d, r = m - 1, 0
@@ -326,8 +334,8 @@ def _certify_prime(m: int) -> bool:
     if not _strong_probable_prime(m, _MR_BASES[:1]):
         return False
     raise ValueError(
-        "cannot certify %d as prime: Miller-Rabin on the first 13 prime bases "
-        "is a proof only below %d" % (m, MILLER_RABIN_LIMIT)
+        "cannot certify %s as prime: Miller-Rabin on the first 13 prime bases "
+        "is a proof only below %d" % (_decimal(m), MILLER_RABIN_LIMIT)
     )
 
 
@@ -426,7 +434,7 @@ def factorization_str(m: int) -> str:
         str(p) if e == 1 else "%d^%d" % (p, e) for p, e in sorted(factors.items())
     ]
     if cofactor > 1:
-        parts.append("%d (no prime factor up to %d)" % (cofactor, FACTOR_CAP))
+        parts.append("%s (no prime factor up to %d)" % (_decimal(cofactor), FACTOR_CAP))
     return " * ".join(parts)
 
 
@@ -436,7 +444,7 @@ def require_prime_power(q: int) -> None:
         raise ValueError("q = %r is not a prime power" % (q,))
     if not is_prime_power(q):
         raise ValueError(
-            "q = %d = %s is not a prime power" % (q, factorization_str(q))
+            "q = %s = %s is not a prime power" % (_decimal(q), factorization_str(q))
         )
 
 
@@ -444,6 +452,6 @@ def require_prime(p: int, what: str = "p") -> None:
     if not is_prime(p):
         if p >= 2:
             raise ValueError(
-                "%s = %d = %s is not prime" % (what, p, factorization_str(p))
+                "%s = %s = %s is not prime" % (what, _decimal(p), factorization_str(p))
             )
         raise ValueError("%s = %r is not prime" % (what, p))

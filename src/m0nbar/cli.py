@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from collections import Counter
+from functools import reduce
 
 from . import getzler, keel, strata, zeta
 from .algebra import (
@@ -27,17 +28,12 @@ from .algebra import (
     require_prime_power,
 )
 from .forget import verify_fiber_sum, verify_lemma3, verify_lemma4
-from .report import all_pass, make_report
+from .report import make_report
 
 FORMATS = ("plain", "json", "csv", "latex")
 VERIFY_TARGETS = ("recurrence", "strata", "forget", "getzler", "zeta", "all")
 DEFAULT_Q = (2, 3, 4, 5, 7, 8, 9, 11)
 SERIES_ORDER_GUARD = 10
-
-
-def _strata_guard() -> int:
-    raised = os.environ.get("M0NBAR_STRATA_MAX_N")
-    return int(raised) if raised else 8
 
 
 def _json_text(obj) -> str:
@@ -52,14 +48,35 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
+def _plain_text(head, rows, right) -> str:
+    """Columns two spaces apart, each as wide as its widest cell; the columns
+    numbered in right are right-aligned and the last one is not padded.
+    head and the rows are tuples of strings."""
+    table = [head, *rows]
+    widths = [max(len(row[i]) for row in table) for i in range(len(head) - 1)]
+    specs = [("%%%ds" if i in right else "%%-%ds") % w for i, w in enumerate(widths)]
+    line = "  ".join([*specs, "%s"])
+    return "".join((line % row).rstrip() + "\n" for row in table)
+
+
+def _latex_text(cols, head, rows) -> str:
+    lines = [" & ".join(row) + r" \\" for row in [head, *rows]]
+    return "\n".join([r"\begin{tabular}{%s}" % cols, *lines, r"\end{tabular}"]) + "\n"
+
+
 def _reject_format(fmt: str, command: str, allowed) -> None:
     if fmt not in allowed:
         raise ValueError("format '%s' is not supported by '%s'" % (fmt, command))
 
 
-def _require_n(n: int, minimum: int = 3) -> None:
-    if n < minimum:
-        raise ValueError("n must be >= %d" % minimum)
+def _require_n(n: int) -> None:
+    if n < 3:
+        raise ValueError("n must be >= 3")
+
+
+def _require_order(order: int, minimum: int) -> None:
+    if not minimum <= order <= SERIES_ORDER_GUARD:
+        raise ValueError("order must be between %d and %d" % (minimum, SERIES_ORDER_GUARD))
 
 
 # ---------------------------------------------------------------------------
@@ -67,24 +84,23 @@ def _require_n(n: int, minimum: int = 3) -> None:
 
 def cmd_poincare(args):
     _require_n(args.n)
-    p = keel.poincare_poly(args.n)
     _reject_format(args.format, "poincare", ("plain", "json", "latex"))
+    p = keel.poincare_poly(args.n)
     if args.format == "json":
         return 0, _json_text({"n": args.n, "coeffs": [str(c) for c in p]})
-    latex = args.format == "latex"
-    return 0, poly_str(p, "t", power_scale=2, latex=latex) + "\n"
+    return 0, poly_str(p, "t", power_scale=2, latex=args.format == "latex") + "\n"
 
 
 def cmd_betti(args):
     _require_n(args.n)
-    row = keel.poincare_poly(args.n)
+    allowed = ("plain", "json") if args.k is not None else ("plain", "json", "csv")
+    _reject_format(args.format, "betti", allowed)
     if args.k is not None:
-        _reject_format(args.format, "betti", ("plain", "json"))
         value = keel.betti(args.n, args.k)
         if args.format == "json":
             return 0, _json_text({"n": args.n, "k": args.k, "value": str(value)})
         return 0, "%d\n" % value
-    _reject_format(args.format, "betti", ("plain", "json", "csv"))
+    row = keel.poincare_poly(args.n)
     if args.format == "json":
         return 0, _json_text({"n": args.n, "coeffs": [str(c) for c in row]})
     if args.format == "csv":
@@ -94,8 +110,8 @@ def cmd_betti(args):
 
 def cmd_count(args):
     _require_n(args.n)
-    value = keel.point_count(args.n, args.q)
     _reject_format(args.format, "count", ("plain", "json"))
+    value = keel.point_count(args.n, args.q)
     if args.format == "json":
         return 0, _json_text({"n": args.n, "q": args.q, "count": str(value)})
     return 0, "%d\n" % value
@@ -103,155 +119,100 @@ def cmd_count(args):
 
 def cmd_strata(args):
     _require_n(args.n)
-    if args.n > _strata_guard():
+    guard = int(os.environ.get("M0NBAR_STRATA_MAX_N") or 8)
+    if args.n > guard:
         raise ValueError(
             "n = %d exceeds the stratum enumeration guard (%d); "
-            "set M0NBAR_STRATA_MAX_N to raise it" % (args.n, _strata_guard())
+            "set M0NBAR_STRATA_MAX_N to raise it" % (args.n, guard)
         )
-    if args.q is not None:
-        require_prime_power(args.q)
+    q = args.q
+    if q is not None:
+        require_prime_power(q)
     table = strata.strata_table(args.n)
     kinds = Counter(row.count_poly for row in table)
-    total_poly = ()
-    for poly, mult in kinds.items():
-        total_poly = poly_add(total_poly, poly_scale(poly, mult))
-    # each distinct count polynomial is evaluated, and rendered, once per call
-    counts = {p: str(poly_eval(p, args.q)) for p in kinds} if args.q is not None else None
-    rows = [(strata.tree_serial(row.tree), row.tree.vertex_count, row.edge_count, row.count_poly)
-            for row in table]
-    total = strata.stratified_count(args.n, args.q) if args.q is not None else None
+    total_poly = reduce(poly_add, (poly_scale(poly, mult) for poly, mult in kinds.items()))
+    # each distinct count polynomial, the total's among them, is evaluated
+    # and rendered once per call
+    counts = {p: None if q is None else str(poly_eval(p, q)) for p in [*kinds, total_poly]}
 
     if args.format == "json":
-        coeffs = {p: [str(c) for c in p] for p in kinds}
-        payload = {
-            "n": args.n,
-            "q": args.q,
-            "strata": [
-                {
-                    "tree": tree,
-                    "vertices": vertices,
-                    "edges": edges,
-                    "count_poly": coeffs[poly],
-                    "count": None if counts is None else counts[poly],
-                }
-                for tree, vertices, edges, poly in rows
-            ],
-            "total_poly": [str(c) for c in total_poly],
-            "total": None if total is None else str(total),
-        }
-        return 0, _json_text(payload)
+        coeffs = {p: [str(c) for c in p] for p in counts}
+        records = [
+            {"tree": strata.tree_serial(row.tree), "vertices": row.tree.vertex_count,
+             "edges": row.edge_count, "count_poly": coeffs[row.count_poly],
+             "count": counts[row.count_poly]}
+            for row in table
+        ]
+        return 0, _json_text({"n": args.n, "q": q, "strata": records,
+                              "total_poly": coeffs[total_poly], "total": counts[total_poly]})
 
     latex = args.format == "latex"
-    texts = {p: poly_str(p, "q", descending=True, latex=latex) for p in [*kinds, total_poly]}
-
-    if args.format == "csv":
-        header = ["tree", "vertices", "edges", "count_poly"]
-        if args.q is not None:
-            header.append("count")
-        out = []
-        for tree, vertices, edges, poly in rows:
-            line = [tree, vertices, edges, texts[poly]]
-            if args.q is not None:
-                line.append(counts[poly])
-            out.append(line)
-        totals = ["TOTAL", "", "", texts[total_poly]]
-        if args.q is not None:
-            totals.append(str(total))
-        out.append(totals)
-        return 0, _csv_text(header, out)
-
-    lines = []
     if latex:
-        cols = "lrrl" + ("r" if args.q is not None else "")
-        lines.append(r"\begin{tabular}{%s}" % cols)
-        head = ["tree", "vertices", r"$k(\rho)$", "count polynomial"]
-        if args.q is not None:
-            head.append("count at $q=%d$" % args.q)
-        lines.append(" & ".join(head) + r" \\")
-        for tree, vertices, edges, poly in rows:
-            cells = [r"\verb|%s|" % tree, str(vertices), str(edges), "$%s$" % texts[poly]]
-            if args.q is not None:
-                cells.append(counts[poly])
-            lines.append(" & ".join(cells) + r" \\")
-        totals = ["total", "", "", "$%s$" % texts[total_poly]]
-        if args.q is not None:
-            totals.append(str(total))
-        lines.append(" & ".join(totals) + r" \\")
-        lines.append(r"\end{tabular}")
-        return 0, "\n".join(lines) + "\n"
-
-    width = max(len("TOTAL"), max(len(r[0]) for r in rows))
-    pwidth = max(len("count_poly"), max(len(t) for t in texts.values()))
-    head = "%-*s  %8s  %5s  %-*s" % (width, "tree", "vertices", "edges", pwidth, "count_poly")
-    if args.q is not None:
-        head += "  count(q=%d)" % args.q
-    lines.append(head.rstrip())
-    for tree, vertices, edges, poly in rows:
-        line = "%-*s  %8d  %5d  %-*s" % (width, tree, vertices, edges, pwidth, texts[poly])
-        if args.q is not None:
-            line += "  " + counts[poly]
-        lines.append(line.rstrip())
-    total_line = "%-*s  %8s  %5s  %-*s" % (width, "TOTAL", "", "", pwidth, texts[total_poly])
-    if args.q is not None:
-        total_line += "  %d" % total
-    lines.append(total_line.rstrip())
-    return 0, "\n".join(lines) + "\n"
+        head = ("tree", "vertices", r"$k(\rho)$", "count polynomial", "count at $q=%s$" % q)
+        tree_cell, poly_cell, total = r"\verb|%s|", "$%s$", "total"
+    else:
+        head = ("tree", "vertices", "edges", "count_poly",
+                "count" if args.format == "csv" else "count(q=%s)" % q)
+        tree_cell, poly_cell, total = "%s", "%s", "TOTAL"
+    ncols = 4 if q is None else 5
+    tails = {
+        p: (poly_cell % poly_str(p, "q", descending=True, latex=latex), count)[:ncols - 3]
+        for p, count in counts.items()
+    }
+    # "%s" % s is s itself and "%d" % k is a shared string for a one-digit k
+    # (str(k) makes a new one), so plain and csv rows add no strings: 5 MB at n = 8
+    rows = [
+        (tree_cell % strata.tree_serial(row.tree), "%d" % row.tree.vertex_count,
+         "%d" % row.edge_count, *tails[row.count_poly])
+        for row in table
+    ]
+    rows.append((total, "", "", *tails[total_poly]))
+    head = head[:ncols]
+    if args.format == "csv":
+        return 0, _csv_text(head, rows)
+    if latex:
+        return 0, _latex_text("lrrlr"[:ncols], head, rows)
+    return 0, _plain_text(head, rows, right=(1, 2))
 
 
 def cmd_zeta(args):
     _require_n(args.n)
     require_prime(args.p)
     z = zeta.zeta_moduli(args.n, args.p)
-    series = None
-    if args.order is not None:
-        if args.order < 1:
-            raise ValueError("order must be >= 1")
-        series = zeta.log_derivative_series(z, args.order)
+    # the point counts over F_{p^r} for r = 1..order
+    counts = [] if args.order is None else zeta.log_derivative_series(z, args.order).coeffs[1:]
     if args.format == "json":
         payload = {"n": args.n, **zeta.zeta_record(z)}
-        if series is not None:
-            payload["series"] = [str(series.coeffs[r]) for r in range(1, args.order + 1)]
+        if counts:
+            payload["series"] = [str(c) for c in counts]
         return 0, _json_text(payload)
     if args.format == "csv":
-        if series is not None:
-            return 0, _csv_text(
-                ["r", "count"],
-                [[r, str(series.coeffs[r])] for r in range(1, args.order + 1)],
-            )
+        if counts:
+            return 0, _csv_text(["r", "count"], [[r, str(c)] for r, c in enumerate(counts, 1)])
         return 0, _csv_text(["j", "exponent"], [[j, e] for j, e in z.factors])
-    latex = args.format == "latex"
-    lines = [zeta.zeta_str(z, latex=latex)]
-    if series is not None:
-        for r in range(1, args.order + 1):
-            lines.append("T^%d %s" % (r, series.coeffs[r]))
+    lines = [zeta.zeta_str(z, latex=args.format == "latex")]
+    lines.extend("T^%d %s" % (r, c) for r, c in enumerate(counts, 1))
     return 0, "\n".join(lines) + "\n"
 
 
 def cmd_getzler(args):
     order = args.order if args.order is not None else 8
-    if not 2 <= order <= SERIES_ORDER_GUARD:
-        raise ValueError("order must be between 2 and %d" % SERIES_ORDER_GUARD)
+    _require_order(order, 2)
     f = getzler.series_f(order)
     g = getzler.series_g(order)
     if args.format == "json":
-        payload = {
-            "order": order,
-            "f": [[str(c) for c in p] for p in f.coeffs],
-            "g": [[str(c) for c in p] for p in g.coeffs],
-        }
-        return 0, _json_text(payload)
+        return 0, _json_text({"order": order, "f": [[str(c) for c in p] for p in f.coeffs],
+                              "g": [[str(c) for c in p] for p in g.coeffs]})
     if args.format == "csv":
-        rows = [
-            [n, poly_str(f.coeffs[n], "s"), poly_str(g.coeffs[n], "s")]
-            for n in range(order + 1)
-        ]
+        rows = [[n, poly_str(a, "s"), poly_str(b, "s")]
+                for n, (a, b) in enumerate(zip(f.coeffs, g.coeffs))]
         return 0, _csv_text(["n", "f_coeff", "g_coeff"], rows)
     latex = args.format == "latex"
     lines = []
     for name, series in (("f", f), ("g", g)):
         lines.append("%s(x):" % name)
-        for n in range(order + 1):
-            lines.append("  x^%d: %s" % (n, poly_str(series.coeffs[n], "s", latex=latex)))
+        lines.extend("  x^%d: %s" % (n, poly_str(c, "s", latex=latex))
+                     for n, c in enumerate(series.coeffs))
     return 0, "\n".join(lines) + "\n"
 
 
@@ -266,31 +227,46 @@ def _parse_q_list(text) -> tuple:
 
 
 def _verify_reports(target, max_n, qs, order):
-    # strata and forget read the stratum census, forget at n+1; refuse a
-    # max-n past its guard before any report is computed
+    runs = {name for name in VERIFY_TARGETS if target in (name, "all")}
+    # refuse every bad argument before the first report is computed; strata
+    # and forget read the stratum census, forget at n+1
     census_tops = {"strata": max_n, "forget": max_n + 1} if max_n is not None else {}
     for name, top in census_tops.items():
-        if target in (name, "all") and top > strata.CENSUS_MAX_N:
-            raise ValueError(
-                "max-n %d needs the stratum census at n = %d, beyond its guard (%d)"
-                % (max_n, top, strata.CENSUS_MAX_N)
-            )
+        if name in runs and top > strata.CENSUS_MAX_N:
+            raise ValueError("max-n %d needs the stratum census at n = %d, beyond its guard (%d)"
+                             % (max_n, top, strata.CENSUS_MAX_N))
+    if qs is not None and runs & {"recurrence", "strata", "forget"}:
+        for q in qs:
+            require_prime_power(q)
+    zeta_depth = order if order is not None else 6
+    zeta_ps = qs if qs is not None else (2, 3)
+    getzler_depth = order if order is not None else 8
+    if "zeta" in runs:
+        _require_order(zeta_depth, 1)
+        for p in zeta_ps:
+            require_prime(p)
+    if "getzler" in runs:
+        _require_order(getzler_depth, 2)
+
     reports = []
-    if target in ("recurrence", "all"):
+    if "recurrence" in runs:
         top = max_n if max_n is not None else 8
         for q in qs if qs is not None else DEFAULT_Q:
             reports.extend(keel.verify_count_recurrence(top, q))
-    if target in ("strata", "all"):
+    if "strata" in runs:
         top = max_n if max_n is not None else 7
         q_list = qs if qs is not None else DEFAULT_Q
         for q in q_list:
             for n in range(3, top + 1):
-                reports.append(_cross_oracle_report(n, q))
+                reports.append(make_report("cross-oracle", {"n": n, "q": q},
+                                           strata.stratified_count(n, q), keel.point_count(n, q)))
         for q in q_list:
             if is_prime(q) and q <= strata.ORBIT_GUARD_MAX_Q:
                 for n in range(3, min(top, q + 1) + 1):
-                    reports.append(_orbit_report(n, q))
-    if target in ("forget", "all"):
+                    reports.append(make_report("orbit-oracle", {"n": n, "q": q},
+                                               strata.orbit_count_direct(n, q),
+                                               poly_eval(strata.open_stratum_poly(n), q)))
+    if "forget" in runs:
         top = max_n if max_n is not None else 7
         q_list = qs if qs is not None else (2, 3, 4, 5, 7, 8, 9)
         for q in q_list:
@@ -299,37 +275,14 @@ def _verify_reports(target, max_n, qs, order):
                 if n >= 4:
                     reports.append(verify_lemma4(n, q))
                 reports.append(verify_fiber_sum(n, q))
-    if target in ("zeta", "all"):
+    if "zeta" in runs:
         top = max_n if max_n is not None else 6
-        depth = order if order is not None else 6
-        if not 1 <= depth <= SERIES_ORDER_GUARD:
-            raise ValueError("order must be between 1 and %d" % SERIES_ORDER_GUARD)
-        p_list = qs if qs is not None else (2, 3)
-        for p in p_list:
-            require_prime(p)
+        for p in zeta_ps:
             for n in range(3, top + 1):
-                reports.extend(zeta.verify_zeta_counts(n, p, depth))
-    if target in ("getzler", "all"):
-        depth = order if order is not None else 8
-        if not 2 <= depth <= SERIES_ORDER_GUARD:
-            raise ValueError("order must be between 2 and %d" % SERIES_ORDER_GUARD)
-        reports.extend(getzler.verify_inverse(depth))
+                reports.extend(zeta.verify_zeta_counts(n, p, zeta_depth))
+    if "getzler" in runs:
+        reports.extend(getzler.verify_inverse(getzler_depth))
     return reports
-
-
-def _cross_oracle_report(n, q):
-    return make_report(
-        "cross-oracle", {"n": n, "q": q},
-        strata.stratified_count(n, q), keel.point_count(n, q),
-    )
-
-
-def _orbit_report(n, q):
-    return make_report(
-        "orbit-oracle", {"n": n, "q": q},
-        strata.orbit_count_direct(n, q),
-        poly_eval(strata.open_stratum_poly(n), q),
-    )
 
 
 def cmd_verify(args):
@@ -338,29 +291,20 @@ def cmd_verify(args):
     if args.max_n is not None and args.max_n < 3:
         raise ValueError("max-n must be >= 3")
     reports = _verify_reports(args.target, args.max_n, qs, args.order)
-    ok = all_pass(reports)
+    failed = sum(not r.passed for r in reports)
+    code = 1 if failed else 0
     if args.format == "json":
-        payload = {"reports": [r.as_record() for r in reports], "pass": ok}
-        return (0 if ok else 1), _json_text(payload)
+        return code, _json_text({"reports": [r.as_record() for r in reports], "pass": not failed})
     if args.format == "csv":
-        rows = [
-            [
-                r.identity,
-                " ".join("%s=%s" % kv for kv in r.parameters.items()),
-                r.lhs,
-                r.rhs,
-                "pass" if r.passed else "fail",
-            ]
-            for r in reports
-        ]
-        return (0 if ok else 1), _csv_text(["identity", "parameters", "lhs", "rhs", "result"], rows)
+        rows = [[r.identity, r.params(), r.lhs, r.rhs, "pass" if r.passed else "fail"]
+                for r in reports]
+        return code, _csv_text(["identity", "parameters", "lhs", "rhs", "result"], rows)
     lines = [r.line() for r in reports]
-    failed = sum(1 for r in reports if not r.passed)
     if failed:
         lines.append("FAIL: %d of %d identities failed" % (failed, len(reports)))
     else:
         lines.append("PASS: all %d identities hold" % len(reports))
-    return (0 if ok else 1), "\n".join(lines) + "\n"
+    return code, "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +315,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="output format (default: plain)")
     common.add_argument("--output", metavar="FILE", default=None,
                         help="write output to FILE instead of stdout")
+    sized = argparse.ArgumentParser(add_help=False)
+    sized.add_argument("--n", type=int, required=True)
 
     parser = argparse.ArgumentParser(
         prog="m0nbar",
@@ -380,32 +326,27 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("poincare", parents=[common],
+    p = sub.add_parser("poincare", parents=[common, sized],
                        help="Poincare polynomial of Mbar_{0,n}")
-    p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=cmd_poincare)
 
-    p = sub.add_parser("betti", parents=[common],
+    p = sub.add_parser("betti", parents=[common, sized],
                        help="even Betti numbers b_{2k}(Mbar_{0,n})")
-    p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
     p.set_defaults(func=cmd_betti)
 
-    p = sub.add_parser("count", parents=[common],
+    p = sub.add_parser("count", parents=[common, sized],
                        help="number of F_q-points of Mbar_{0,n}")
-    p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("strata", parents=[common],
+    p = sub.add_parser("strata", parents=[common, sized],
                        help="stable dual trees and per-stratum counts")
-    p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, default=None)
     p.set_defaults(func=cmd_strata)
 
-    p = sub.add_parser("zeta", parents=[common],
+    p = sub.add_parser("zeta", parents=[common, sized],
                        help="factored Hasse-Weil zeta function of Mbar_{0,n}")
-    p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--order", type=int, default=None,
                    help="also print point counts over F_{p^r} for r = 1..order")

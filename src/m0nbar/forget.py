@@ -17,10 +17,9 @@ is no curve-by-curve construction of the map itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 from .algebra import poly_eval, require_prime_power
-from .keel import point_count
+from .keel import glued_pair_count
 from .report import VerificationReport, make_report
 from .strata import DualTree, boundary_edge_sum, stratified_count, stratum_census
 
@@ -76,22 +75,15 @@ def verify_lemma3(n: int, q: int) -> VerificationReport:
 
 
 def verify_lemma4(n: int, q: int) -> VerificationReport:
-    """Check sum k(rho) against the glued-pair double count, halved.
+    """Check sum k(rho), over the strata, against keel.glued_pair_count(n, q).
 
-    Every boundary curve arises from exactly 2*k(rho) ordered gluings, so
-    the double count must be even; an odd value is an enumeration bug and
-    raises instead of reporting.
+    Cutting a curve at one of its k(rho) nodes leaves an unordered pair of
+    pointed curves with j+1 and n-j+1 special points, so both sides count
+    the pairs (curve, node) over F_q.
     """
     if n < 4:
         raise ValueError("n must be >= 4")
-    lhs = boundary_edge_sum(n, q)
-    double = sum(
-        comb(n, j) * point_count(j + 1, q) * point_count(n - j + 1, q)
-        for j in range(2, n - 1)
-    )
-    if double % 2:
-        raise ArithmeticError("glued-pair double count is odd at n=%d q=%d" % (n, q))
-    return make_report("lemma4", {"n": n, "q": q}, lhs, double // 2)
+    return make_report("lemma4", {"n": n, "q": q}, boundary_edge_sum(n, q), glued_pair_count(n, q))
 
 
 def verify_fiber_sum(n: int, q: int) -> VerificationReport:

@@ -14,12 +14,15 @@ class VerificationReport:
     rhs: str
     passed: bool
 
+    def params(self) -> str:
+        """The parameters as space-separated k=v pairs, e.g. "n=5 q=3"."""
+        return " ".join("%s=%s" % kv for kv in self.parameters.items())
+
     def line(self) -> str:
-        params = " ".join("%s=%s" % kv for kv in self.parameters.items())
         return "%s  %-18s %-22s lhs=%s rhs=%s" % (
             "PASS" if self.passed else "FAIL",
             self.identity,
-            params,
+            self.params(),
             self.lhs,
             self.rhs,
         )

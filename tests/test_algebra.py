@@ -308,3 +308,11 @@ def test_uncertifiable_and_unfactored_inputs():
         require_prime_power(product)
     assert factorization_str(2**32 - 5) == "4294967291"
     assert factorization_str(2 * 3**5 * 65537) == "2 * 3^5 * 65537"
+
+
+def test_numbers_too_long_to_print_are_refused_by_size():
+    # past 4300 digits str() refuses to print an int, so the message gives its size
+    with pytest.raises(ValueError, match=r"^q = a 16611-bit number = 2\^5001 \* 5\^5000 is not"):
+        require_prime_power(2 * 10**5000)
+    with pytest.raises(ValueError, match=r"^p = a 16610-bit number = 2\^5000 \* 5\^5000 is not"):
+        require_prime(10**5000)

@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 
+from m0nbar import keel, strata
 from m0nbar.cli import main
 
 
@@ -128,6 +129,105 @@ def test_strata_output_digests(capsys):
         code, out, _ = run_cli(capsys, "strata", "--n", "7", "--q", "9", "--format", fmt)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+
+# sha256 of stdout of every other command in each format it accepts, and of
+# strata without --q, pinned from the hand-written renderers that the shared
+# table renderers replaced
+CLI_SHA256 = {
+    "poincare --n 7": {
+        "plain": "a4a0f9b6baf515a6e34f8a32042568b983c42ffcd68ef0e45ef0d626c279d896",
+        "json": "e51d891791be9411e03ded915f65966d4171147035c2ffcfbdaa795451e0e4b4",
+        "latex": "f5a44e767d50809dd308678306a1e8c9174187cc554eea4ee62f1f47a4da5b57",
+    },
+    "betti --n 7": {
+        "plain": "5508779089a725f26599359a4c5fa8ad808073d5aa6d7ad56f2cb0094f033f18",
+        "json": "e51d891791be9411e03ded915f65966d4171147035c2ffcfbdaa795451e0e4b4",
+        "csv": "53ffb463582546f050d5791f51353b06e716cc53ab6355954a9715a64b138f8a",
+    },
+    "betti --n 7 --k 2": {
+        "plain": "743c7850cccfba5e53a9002663ec1ddd1079315a98bdbfdde10e6044f56abefe",
+        "json": "3ac9925464e1aa6cdc518394d83bd7b262f1ed85b1017fed42dae789dd7c9e08",
+    },
+    "count --n 7 --q 9": {
+        "plain": "4f9f1545d399f6d50bd349c51e3deb351894c2d8b119de2eb4d8d9504e31c9d7",
+        "json": "bb1390420c59955dc2ab7310aba3add564248cbcebf1ebadf55bb4955e0f849a",
+    },
+    "zeta --n 6 --p 3": {
+        "plain": "149dc0a0faefa1ac036fc07f41a1c0405e10bb62030f8e90c7d77096e177f3e3",
+        "json": "659349124ec078ef0a9ea25c0a69094f01218c8cf1959e51446c595232fa2e5d",
+        "csv": "4dcc0e118ca8306356271ca0dc4a391b7b7696fcd555cd461d4d03a383f4b0ea",
+        "latex": "d5cdfbd3bdaa7b1731701ec20427a7dd10034ac8c26bb0bbe31325901bcd9317",
+    },
+    "zeta --n 6 --p 3 --order 3": {
+        "plain": "8d60d7eb56c46f489b92f1cc2172001bcd94368b40f080aa67d1f53bd931466b",
+        "json": "5709201f220bb80e3028b2311bd7039ffeb65d3eb461bce13bf068f9c4c297af",
+        "csv": "466fe6bc4cd16c39982a2a7df7cbc5bc14705a74662a2e52da8050cc7f48d3d1",
+        "latex": "c7f70ec7ef130396a4c62e0c8e199a74ac733c82146438faec151b67929b0a3d",
+    },
+    "getzler --order 4": {
+        "plain": "63770dc531701ba98b1d7326fa298fcabd0d681cbe7f1760cd5cf6bc09ac34e0",
+        "json": "66320f69a2daea6445eb0c4a469854df82d4a7642ad4cde9cb4b5585a536d008",
+        "csv": "14b87be83e40a1cd4fb2bacd9bd4cda334a9bee2c424a6021476cc09c50fb523",
+        "latex": "ff05eb517f6d470e5393b380e634ad5dcff329ce62c993edbc54830c086aab5c",
+    },
+    "verify recurrence --max-n 6 --q 2,4": {
+        "plain": "4577619ed6518b0e5fe1af94c1c999ba2d055ce15fb1a7da7ced927a4714ab55",
+        "json": "3c97456ac815b048da7a04d13afa779b011c3ad09ecc753be6ac582e952dd7cb",
+        "csv": "df77f0f13029c044c2bcb5ddc99a8e8c5536130d3dcf3fa3f77a7a780bce0717",
+    },
+    "verify getzler --order 4": {
+        "plain": "8eddd2d2917eb8514b185769d4de9c626040346c2973e23ffe06483b331e1b19",
+        "json": "700340bd80d36fff0258d36e660dbc3db7eb079449b5f1b443260f09bc31ab89",
+        "csv": "bc49b3fe2ff0db8c0c2216babe605a8965afa669cfc09fa435ba3a661cea94b5",
+    },
+    "strata --n 6": {
+        "plain": "0a454674382fcac766a1e669de8309c587a589d65f58beaa3d601d3d2cb51a12",
+        "json": "deac3ef2ed52fcd3f8e44caad9dd477f0c91ba650741ddb5545492f4ae533807",
+        "csv": "4259970858635de5c1ea4adb1a4dba25ac9e2a713c9573cb98884c21c8878496",
+        "latex": "ae301d7f6240043cb55c27c0fe3381fca2a8ccdb232b6ab4fad793f030232ccd",
+    },
+}
+
+
+def test_cli_output_digests(capsys):
+    for command, digests in CLI_SHA256.items():
+        for fmt, digest in digests.items():
+            code, out, _ = run_cli(capsys, *command.split(), "--format", fmt)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, (command, fmt)
+
+
+def test_unsupported_format_is_refused_before_computing(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("computed before the format was checked")
+
+    for name in ("poincare_poly", "point_count", "betti"):
+        monkeypatch.setattr(keel, name, refuse)
+    for argv in (("poincare", "--n", "300", "--format", "csv"),
+                 ("count", "--n", "300", "--q", "9", "--format", "latex"),
+                 ("betti", "--n", "300", "--format", "latex"),
+                 ("betti", "--n", "300", "--k", "2", "--format", "csv")):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert "not supported" in err
+
+
+def test_verify_arguments_are_checked_before_the_first_report(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a report was computed before the arguments were checked")
+
+    monkeypatch.setattr(keel, "verify_count_recurrence", refuse)
+    monkeypatch.setattr(strata, "stratified_count", refuse)
+    for argv, message in (
+        (("all", "--q", "4"), "p = 4 = 2^2 is not prime"),
+        (("all", "--q", "2,6"), "q = 6 = 2 * 3 is not a prime power"),
+        (("all", "--order", "1"), "order must be between 2 and 10"),
+        (("all", "--order", "11"), "order must be between 1 and 10"),
+    ):
+        code, _, err = run_cli(capsys, "verify", *argv)
+        assert code == 2, argv
+        assert err == "error: %s\n" % message
 
 
 def test_zeta_plain(capsys):

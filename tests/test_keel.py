@@ -7,6 +7,7 @@ from m0nbar.algebra import poly_add, poly_mul, poly_scale
 from m0nbar.keel import (
     BettiTable,
     betti,
+    glued_pair_count,
     point_count,
     poincare_poly,
     verify_count_recurrence,
@@ -138,3 +139,11 @@ def test_paired_kernel_matches_unpaired_sum():
     table = BettiTable()
     for n, row in _unpaired_rows(40).items():
         assert table.row(n) == row, n
+
+
+def test_glued_pair_count_is_half_the_unpaired_sum():
+    for n in range(3, 16):
+        for q in (2, 3, 4, 7, 9):
+            double = sum(comb(n, j) * point_count(j + 1, q) * point_count(n - j + 1, q)
+                         for j in range(2, n - 1))
+            assert 2 * glued_pair_count(n, q) == double, (n, q)
