@@ -362,13 +362,13 @@ def _iroot(m: int, k: int) -> int:
         x = y
 
 
-def _power_base(m: int) -> tuple:
-    """(r, e) with m = r**e and r no perfect power; m has no factor below _TRIAL_BOUND.
+def _power_base(m: int) -> int:
+    """The r with m = r**e for some e >= 1 and r no perfect power; m has no
+    factor below _TRIAL_BOUND.
 
     A k-th root of such an m exceeds _TRIAL_BOUND > 2**9, so k < bit_length/9
     bounds the prime exponents k worth trying.
     """
-    e = 1
     bound = m.bit_length() // 9 + 2
     primes = _SMALL_PRIMES if bound <= _TRIAL_BOUND else _primes_below(bound)
     for k in primes:
@@ -376,9 +376,9 @@ def _power_base(m: int) -> tuple:
             break
         root = _iroot(m, k)
         while root ** k == m:
-            m, e = root, e * k
+            m = root
             root = _iroot(m, k)
-    return m, e
+    return m
 
 
 def is_prime(m: int) -> bool:
@@ -401,7 +401,7 @@ def is_prime_power(m: int) -> bool:
             while m % p == 0:
                 m //= p
             return m == 1
-    return _certify_prime(_power_base(m)[0])
+    return _certify_prime(_power_base(m))
 
 
 def factorize(m: int) -> tuple:
@@ -448,10 +448,8 @@ def require_prime_power(q: int) -> None:
         )
 
 
-def require_prime(p: int, what: str = "p") -> None:
+def require_prime(p: int) -> None:
     if not is_prime(p):
         if p >= 2:
-            raise ValueError(
-                "%s = %s = %s is not prime" % (what, _decimal(p), factorization_str(p))
-            )
-        raise ValueError("%s = %r is not prime" % (what, p))
+            raise ValueError("p = %s = %s is not prime" % (_decimal(p), factorization_str(p)))
+        raise ValueError("p = %r is not prime" % (p,))

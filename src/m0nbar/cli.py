@@ -69,11 +69,6 @@ def _reject_format(fmt: str, command: str, allowed) -> None:
         raise ValueError("format '%s' is not supported by '%s'" % (fmt, command))
 
 
-def _require_n(n: int) -> None:
-    if n < 3:
-        raise ValueError("n must be >= 3")
-
-
 def _require_order(order: int, minimum: int) -> None:
     if not minimum <= order <= SERIES_ORDER_GUARD:
         raise ValueError("order must be between %d and %d" % (minimum, SERIES_ORDER_GUARD))
@@ -83,7 +78,6 @@ def _require_order(order: int, minimum: int) -> None:
 # subcommands; each returns (exit_code, output_text)
 
 def cmd_poincare(args):
-    _require_n(args.n)
     _reject_format(args.format, "poincare", ("plain", "json", "latex"))
     p = keel.poincare_poly(args.n)
     if args.format == "json":
@@ -92,7 +86,6 @@ def cmd_poincare(args):
 
 
 def cmd_betti(args):
-    _require_n(args.n)
     allowed = ("plain", "json") if args.k is not None else ("plain", "json", "csv")
     _reject_format(args.format, "betti", allowed)
     if args.k is not None:
@@ -109,7 +102,6 @@ def cmd_betti(args):
 
 
 def cmd_count(args):
-    _require_n(args.n)
     _reject_format(args.format, "count", ("plain", "json"))
     value = keel.point_count(args.n, args.q)
     if args.format == "json":
@@ -118,8 +110,11 @@ def cmd_count(args):
 
 
 def cmd_strata(args):
-    _require_n(args.n)
-    guard = int(os.environ.get("M0NBAR_STRATA_MAX_N") or 8)
+    raw = os.environ.get("M0NBAR_STRATA_MAX_N") or "8"
+    try:
+        guard = int(raw)
+    except ValueError:
+        raise ValueError("M0NBAR_STRATA_MAX_N must be an integer, not %r" % raw) from None
     if args.n > guard:
         raise ValueError(
             "n = %d exceeds the stratum enumeration guard (%d); "
@@ -176,7 +171,6 @@ def cmd_strata(args):
 
 
 def cmd_zeta(args):
-    _require_n(args.n)
     require_prime(args.p)
     z = zeta.zeta_moduli(args.n, args.p)
     # the point counts over F_{p^r} for r = 1..order
@@ -288,8 +282,9 @@ def _verify_reports(target, max_n, qs, order):
 def cmd_verify(args):
     _reject_format(args.format, "verify", ("plain", "json", "csv"))
     qs = _parse_q_list(args.q) if args.q is not None else None
-    if args.max_n is not None and args.max_n < 3:
-        raise ValueError("max-n must be >= 3")
+    least = 4 if args.target in ("recurrence", "all") else 3  # recurrence starts at n = 4
+    if args.max_n is not None and args.max_n < least:
+        raise ValueError("max-n must be >= %d" % least)
     reports = _verify_reports(args.target, args.max_n, qs, args.order)
     failed = sum(not r.passed for r in reports)
     code = 1 if failed else 0

@@ -1,7 +1,9 @@
+import doctest
 import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 from m0nbar import keel, strata
 from m0nbar.cli import main
@@ -111,6 +113,10 @@ def test_strata_guard_env(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "strata", "--n", "7")
     assert code == 0
     assert len(out.splitlines()) == 2754  # header + 2752 strata + totals
+    monkeypatch.setenv("M0NBAR_STRATA_MAX_N", "abc")
+    code, _, err = run_cli(capsys, "strata", "--n", "4")
+    assert code == 2
+    assert err == "error: M0NBAR_STRATA_MAX_N must be an integer, not 'abc'\n"
 
 
 # sha256 of `strata --n 7 --q 9` in each format, pinned from the output of
@@ -224,6 +230,8 @@ def test_verify_arguments_are_checked_before_the_first_report(capsys, monkeypatc
         (("all", "--q", "2,6"), "q = 6 = 2 * 3 is not a prime power"),
         (("all", "--order", "1"), "order must be between 2 and 10"),
         (("all", "--order", "11"), "order must be between 1 and 10"),
+        (("recurrence", "--max-n", "3"), "max-n must be >= 4"),
+        (("all", "--max-n", "3"), "max-n must be >= 4"),
     ):
         code, _, err = run_cli(capsys, "verify", *argv)
         assert code == 2, argv
@@ -378,3 +386,10 @@ def test_module_entry_point():
 
 def test_missing_subcommand_usage_error(capsys):
     assert main([]) == 2
+
+
+def test_readme_quick_tour_runs():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    result = doctest.testfile(str(readme), module_relative=False)
+    assert result.attempted > 0
+    assert result.failed == 0
