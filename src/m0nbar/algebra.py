@@ -211,16 +211,12 @@ class BiSeries:
         object.__setattr__(self, "coeffs", coeffs)
 
 
-def biseries(order: int, coeffs) -> BiSeries:
-    return BiSeries(order, tuple(coeffs))
-
-
 def biseries_x(order: int) -> BiSeries:
     """The identity series x at the given truncation order."""
     coeffs = [()] * order
     if order > 1:
         coeffs[1] = (1,)
-    return biseries(order, coeffs)
+    return BiSeries(order, coeffs)
 
 
 def _bimul(a, b, order):
@@ -250,14 +246,12 @@ def series_compose(f: BiSeries, g: BiSeries) -> BiSeries:
         )
     order = f.order
     if order == 0:
-        return biseries(0, ())
+        return BiSeries(0, ())
     if g.coeffs[0] != ():
         raise ValueError("composition needs a zero constant term in g")
     out = [()] * order
     out[0] = f.coeffs[0]
-    gpow = [()] * order      # running power of g, starts at g^1
-    for i, c in enumerate(g.coeffs):
-        gpow[i] = c
+    gpow = list(g.coeffs)    # running power of g, starts at g^1
     for n in range(1, order):
         fn = f.coeffs[n]
         if fn:
@@ -266,7 +260,7 @@ def series_compose(f: BiSeries, g: BiSeries) -> BiSeries:
                     out[m] = poly_add(out[m], poly_mul(fn, gpow[m]))
         if n + 1 < order:
             gpow = _bimul(gpow, g.coeffs, order)
-    return biseries(order, out)
+    return BiSeries(order, out)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +287,7 @@ _SMALL_PRIMES = _primes_below(_TRIAL_BOUND)
 _PRIME_SQUARES = tuple((p, p * p) for p in _SMALL_PRIMES)
 _MR_BASES = _SMALL_PRIMES[:13]          # 2, 3, 5, ..., 41
 MILLER_RABIN_LIMIT = 3317044064679887385961981
-FACTOR_CAP = 1 << 16                    # largest trial divisor in factorize
+FACTOR_CAP = 1 << 16                    # largest trial divisor in factorization_str
 
 
 def _decimal(m: int) -> str:
@@ -404,37 +398,23 @@ def is_prime_power(m: int) -> bool:
     return _certify_prime(_power_base(m))
 
 
-def factorize(m: int) -> tuple:
-    """Factor m >= 2 as ({prime: exponent}, cofactor).
-
-    Trial division runs up to FACTOR_CAP, so every m below FACTOR_CAP**2
-    factors fully.  What is left above that is returned unfactored as the
-    cofactor; the cofactor is 1 when m factors fully.
-    """
-    if m < 2:
-        raise ValueError("factorize wants an integer >= 2")
-    out = {}
-    d = 2
-    while d * d <= m and d <= FACTOR_CAP:
-        while m % d == 0:
-            out[d] = out.get(d, 0) + 1
-            m //= d
-        d += 1 if d == 2 else 2
-    if m > 1 and d * d > m:
-        out[m] = 1
-        m = 1
-    return out, m
-
-
 def factorization_str(m: int) -> str:
+    """m as prime powers, e.g. "2^2 * 3", by trial division up to FACTOR_CAP."""
     if m < 2:
         return str(m)
-    factors, cofactor = factorize(m)
-    parts = [
-        str(p) if e == 1 else "%d^%d" % (p, e) for p, e in sorted(factors.items())
-    ]
-    if cofactor > 1:
-        parts.append("%s (no prime factor up to %d)" % (_decimal(cofactor), FACTOR_CAP))
+    parts = []
+    d = 2
+    while d * d <= m and d <= FACTOR_CAP:
+        e = 0
+        while m % d == 0:
+            m //= d
+            e += 1
+        if e:
+            parts.append(str(d) if e == 1 else "%d^%d" % (d, e))
+        d += 1 if d == 2 else 2
+    if m > 1:
+        parts.append(str(m) if d * d > m
+                     else "%s (no prime factor up to %d)" % (_decimal(m), FACTOR_CAP))
     return " * ".join(parts)
 
 

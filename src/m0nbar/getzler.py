@@ -29,7 +29,6 @@ from math import factorial
 from .algebra import (
     BiSeries,
     RatPoly,
-    biseries,
     biseries_x,
     poly_add,
     poly_mul,
@@ -72,7 +71,7 @@ def series_g(order: int) -> BiSeries:
         quotient = ratpoly_div_exact(numerator, _S_TIMES_S_MINUS_1)
         coeffs.append(poly_neg(quotient))
     coeffs[1] = poly_add(coeffs[1], ratpoly(1))             # the leading x of g
-    return biseries(order + 1, coeffs)
+    return BiSeries(order + 1, coeffs)
 
 
 def series_f(order: int) -> BiSeries:
@@ -82,7 +81,7 @@ def series_f(order: int) -> BiSeries:
     coeffs = [(), (1,)]
     for n in range(2, order + 1):
         coeffs.append(poly_scale(poincare_poly(n + 1), Fraction(1, factorial(n))))
-    return biseries(order + 1, coeffs)
+    return BiSeries(order + 1, coeffs)
 
 
 def verify_inverse(order: int) -> list:

@@ -35,6 +35,7 @@ from .algebra import IntPoly, is_prime, poly_eval, poly_mul, require_prime_power
 
 ORBIT_GUARD_MAX_Q = 7   # (q+1)!/(q+1-n)! canonicalizations; 8!/1 worst case
 CENSUS_MAX_N = 10       # the census takes about 0.3 s at n = 10 and 2 s at n = 11
+ENUMERATION_MAX_N = 9   # 660032 trees in 283 MB; n = 10 has 12818912 trees
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,49 +124,6 @@ def _numbered(root, n: int, shapes: dict) -> DualTree:
     return DualTree(count, shapes.setdefault(edges, edges), tuple(legs), root[0])
 
 
-def _adjacency(vertex_count, edges):
-    adj = [[] for _ in range(vertex_count)]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    return adj
-
-
-def _parse_serial(serial: str) -> DualTree:
-    """Rebuild the canonically numbered DualTree from its serialization."""
-    edges = []
-    legs = {}
-    pos = 0
-    counter = 0
-
-    def node(parent):
-        nonlocal pos, counter
-        if serial[pos] != "(":
-            raise ValueError("bad tree serialization %r" % serial)
-        pos += 1
-        v = counter
-        counter += 1
-        if parent >= 0:
-            edges.append((parent, v))
-        end = serial.index(";", pos)
-        if end > pos:
-            for tok in serial[pos:end].split(","):
-                legs[int(tok)] = v
-        pos = end + 1
-        while serial[pos] == "(":
-            node(v)
-        pos += 1  # the closing parenthesis
-
-    node(-1)
-    if pos != len(serial):
-        raise ValueError("trailing junk in tree serialization %r" % serial)
-    n = len(legs)
-    if sorted(legs) != list(range(1, n + 1)):
-        raise ValueError("leg labels must be exactly 1..n")
-    return DualTree(counter, tuple(sorted(tuple(sorted(e)) for e in edges)),
-                    tuple(legs[i] for i in range(1, n + 1)))
-
-
 def tree_serial(tree: DualTree) -> str:
     """Canonical serialization of a dual tree (a complete invariant)."""
     if tree.serial:
@@ -188,7 +146,10 @@ def make_tree(vertex_count: int, edges, legs) -> DualTree:
             raise ValueError("bad edge (%r, %r)" % (a, b))
     if len(edges) != vertex_count - 1:
         raise ValueError("a tree on %d vertices needs %d edges" % (vertex_count, vertex_count - 1))
-    adj = _adjacency(vertex_count, edges)
+    adj = [[] for _ in range(vertex_count)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
     seen = [False] * vertex_count
     stack = [0]
     seen[0] = True
@@ -258,6 +219,9 @@ def enumerate_stable_trees(n: int) -> tuple:
     """
     if n < 3:
         raise ValueError("n must be >= 3")
+    if n > ENUMERATION_MAX_N:
+        raise ValueError("n = %d exceeds the stratum enumeration bound (%d)"
+                         % (n, ENUMERATION_MAX_N))
     shapes = {}
     trees = [_numbered(_centred(legs + (n,), kids), n, shapes)
              for legs, kids in _tops(tuple(range(1, n)), {})]
@@ -389,8 +353,6 @@ def orbit_count_direct(n: int, q: int) -> int:
             "resource guard: explicit orbit enumeration is capped at q <= %d"
             % ORBIT_GUARD_MAX_Q
         )
-    if n > q + 1:
-        return 0  # pigeonhole: no n distinct points on a (q+1)-point line
     seen = set()
     for config in itertools.permutations(projective_points(q), n):
         seen.add(_canonical_tail(config, q))

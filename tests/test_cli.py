@@ -1,3 +1,4 @@
+import ast
 import doctest
 import hashlib
 import json
@@ -117,6 +118,15 @@ def test_strata_guard_env(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "strata", "--n", "4")
     assert code == 2
     assert err == "error: M0NBAR_STRATA_MAX_N must be an integer, not 'abc'\n"
+
+
+def test_strata_guard_env_stops_at_the_library_bound(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a tree was generated beyond the enumeration bound")
+    monkeypatch.setattr(strata, "_tops", refuse)
+    monkeypatch.setenv("M0NBAR_STRATA_MAX_N", "10")
+    assert run_cli(capsys, "strata", "--n", "10") == (
+        2, "", "error: n = 10 exceeds the stratum enumeration bound (9)\n")
 
 
 # sha256 of `strata --n 7 --q 9` in each format, pinned from the output of
@@ -393,3 +403,17 @@ def test_readme_quick_tour_runs():
     result = doctest.testfile(str(readme), module_relative=False)
     assert result.attempted > 0
     assert result.failed == 0
+
+
+def test_package_imports_only_the_standard_library():
+    # the README promises pure standard-library Python
+    imported = set()
+    for path in Path(strata.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update((path.name, alias.name) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add((path.name, node.module))
+    assert ("cli.py", "argparse") in imported
+    assert [(file, name) for file, name in sorted(imported)
+            if name.split(".")[0] not in sys.stdlib_module_names] == []

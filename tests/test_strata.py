@@ -2,12 +2,14 @@ import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from m0nbar.algebra import poly_add, poly_eval, poly_mul, poly_scale, ratpoly
 from m0nbar.keel import poincare_poly
 from m0nbar.strata import (
+    CENSUS_MAX_N,
     DualTree,
     boundary_edge_sum,
     enumerate_stable_trees,
@@ -114,10 +116,17 @@ def test_census_matches_table():
 
 
 def test_census_sizes_are_schroeder():
+    # A000311 by T(m) = sum_{s<m} C(m-1, s-1) T(s) F(m-s), where F(0) = F(1) = 1
+    # and F(m) = 2 T(m) for m >= 2; there are T(n-1) strata with n legs
+    schroeder = [0, 1]
+    for m in range(2, CENSUS_MAX_N):
+        f = [1, 1] + [2 * t for t in schroeder[2:]]
+        schroeder.append(sum(comb(m - 1, s - 1) * schroeder[s] * f[m - s] for s in range(1, m)))
+    assert {n: schroeder[n - 1] for n in SCHROEDER} == SCHROEDER
     trees_before = enumerate_stable_trees.cache_info()
-    for n, size in SCHROEDER.items():
-        assert sum(mult for _, mult in stratum_census(n)) == size
-    # the census enumerates no trees, so n = 9 is answered without them
+    for n in range(3, CENSUS_MAX_N + 1):
+        assert sum(mult for _, mult in stratum_census(n)) == schroeder[n - 1], n
+    # the census enumerates no trees, so n = 9 and 10 are answered without them
     assert enumerate_stable_trees.cache_info() == trees_before
     with pytest.raises(ValueError):
         stratum_census(2)
@@ -185,8 +194,51 @@ def test_enumeration_rejects_small_n():
         enumerate_stable_trees(2)
 
 
+def test_enumeration_bound_is_in_the_library(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a tree was generated beyond the enumeration bound")
+    monkeypatch.setattr("m0nbar.strata._tops", refuse)
+    with pytest.raises(ValueError, match=r"n = 10 exceeds the stratum enumeration bound \(9\)"):
+        enumerate_stable_trees(10)
+
+
+def _parse_serial(serial: str) -> DualTree:
+    """Rebuild the canonically numbered DualTree from its serialization: a
+    parser that shares no code with the library, kept as a test oracle."""
+    edges = []
+    legs = {}
+    pos = 0
+    counter = 0
+
+    def node(parent):
+        nonlocal pos, counter
+        if serial[pos] != "(":
+            raise ValueError("bad tree serialization %r" % serial)
+        pos += 1
+        v = counter
+        counter += 1
+        if parent >= 0:
+            edges.append((parent, v))
+        end = serial.index(";", pos)
+        if end > pos:
+            for tok in serial[pos:end].split(","):
+                legs[int(tok)] = v
+        pos = end + 1
+        while serial[pos] == "(":
+            node(v)
+        pos += 1  # the closing parenthesis
+
+    node(-1)
+    if pos != len(serial):
+        raise ValueError("trailing junk in tree serialization %r" % serial)
+    n = len(legs)
+    if sorted(legs) != list(range(1, n + 1)):
+        raise ValueError("leg labels must be exactly 1..n")
+    return DualTree(counter, tuple(sorted(tuple(sorted(e)) for e in edges)),
+                    tuple(legs[i] for i in range(1, n + 1)))
+
+
 def test_serialization_round_trip():
-    from m0nbar.strata import _parse_serial
     for n in range(3, 6):
         for t in enumerate_stable_trees(n):
             s = tree_serial(t)
