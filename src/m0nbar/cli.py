@@ -40,6 +40,13 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _json_fields(fields, depth) -> str:
+    """The lines of the dict fields as _json_text writes them inside depth
+    levels of nesting, without the braces."""
+    lines = json.dumps(fields, indent=2).split("\n")[1:-1]
+    return "\n".join(["  " * depth + line for line in lines])
+
+
 def _csv_text(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -131,15 +138,20 @@ def cmd_strata(args):
     counts = {p: None if q is None else str(poly_eval(p, q)) for p in [*kinds, total_poly]}
 
     if args.format == "json":
-        coeffs = {p: [str(c) for c in p] for p in counts}
+        # the text _json_text would give, written record by record: each count
+        # polynomial's fields are encoded once, and a serial is made of digits
+        # and "(,;)" only, so it needs no escaping
+        tails = {p: _json_fields({"count_poly": [str(c) for c in p], "count": counts[p]}, 2)
+                 for p in kinds}
         records = [
-            {"tree": strata.tree_serial(row.tree), "vertices": row.tree.vertex_count,
-             "edges": row.edge_count, "count_poly": coeffs[row.count_poly],
-             "count": counts[row.count_poly]}
+            '    {\n      "tree": "%s",\n      "vertices": %d,\n      "edges": %d,\n%s\n    }'
+            % (strata.tree_serial(row.tree), row.tree.vertex_count, row.edge_count,
+               tails[row.count_poly])
             for row in table
         ]
-        return 0, _json_text({"n": args.n, "q": q, "strata": records,
-                              "total_poly": coeffs[total_poly], "total": counts[total_poly]})
+        total = {"total_poly": [str(c) for c in total_poly], "total": counts[total_poly]}
+        return 0, '{\n%s,\n  "strata": [\n%s\n  ],\n%s\n}\n' % (
+            _json_fields({"n": args.n, "q": q}, 0), ",\n".join(records), _json_fields(total, 0))
 
     latex = args.format == "latex"
     if latex:
@@ -233,7 +245,12 @@ def _verify_reports(target, max_n, qs, order):
         for q in qs:
             require_prime_power(q)
     zeta_depth = order if order is not None else 6
-    zeta_ps = qs if qs is not None else (2, 3)
+    # under "all" the q list also feeds the checks that take prime powers, so
+    # zeta runs on the primes in it, or on its default when it holds none
+    zeta_ps = qs if qs is not None else ()
+    if target == "all":
+        zeta_ps = tuple(filter(is_prime, zeta_ps))
+    zeta_ps = zeta_ps or (2, 3)
     getzler_depth = order if order is not None else 8
     if "zeta" in runs:
         _require_order(zeta_depth, 1)

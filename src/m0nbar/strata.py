@@ -8,18 +8,27 @@ Stability is the valence bound
 
     (incident edges) + (assigned legs) >= 3   at every vertex.
 
-Enumeration roots each tree at the vertex carrying leg n.  Every vertex
-splits the legs below it into at least two blocks, each a leg on it or a
-subtree below it: Schroeder's total partitions of {1..n-1} (OEIS A000311),
-so each tree comes out once.  A vertex with b blocks has valence b + 1, so
-the same splits give the census of stratum types without building a tree.
+Enumeration builds each tree rooted at its graph-theoretic center, so every
+tree comes out once and none is re-rooted or deduplicated.  A tree with one
+center is a vertex over a set partition of the legs into at least three
+blocks, each a leg on it or a subtree below it, whose two tallest subtrees
+have equal height.  A tree with two centers is an edge between two subtrees
+of equal height, one with leg 1 and one with the rest.  Every vertex of a
+subtree splits the legs below it into at least two blocks (Schroeder's total
+partitions, OEIS A000311).  Subtrees are memoized by leg set and exact
+height, for the heights a center can use.  A vertex with b blocks has
+valence b + 1, so the same splits give the census of stratum types without
+building a tree.
 
 Canonical form: a tree is serialized rooted at each graph-theoretic center
 as "(sorted,legs;child1child2...)" with children sorted by their own
 serialization, and the lexicographically smaller string wins.  Sibling
 subtrees carry disjoint, nonempty leg sets, so siblings never tie and the
 string is a complete invariant.  A DualTree is numbered in the order of its
-string and keeps it, so == on DualTree is leg-labeled isomorphism.
+string and keeps it, so == on DualTree is leg-labeled isomorphism.  Every
+node keeps its layout in that numbering, so a centred tree is numbered by
+shifting the layouts of its subtrees.  make_tree finds the center of
+arbitrary input by walking from any vertex, and builds the same nodes.
 """
 
 from __future__ import annotations
@@ -29,13 +38,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from math import prod
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from .algebra import IntPoly, is_prime, poly_eval, poly_mul, require_prime_power
 
 ORBIT_GUARD_MAX_Q = 7   # (q+1)!/(q+1-n)! canonicalizations; 8!/1 worst case
 CENSUS_MAX_N = 10       # the census takes about 0.3 s at n = 10 and 2 s at n = 11
-ENUMERATION_MAX_N = 9   # 660032 trees in 283 MB; n = 10 has 12818912 trees
+ENUMERATION_MAX_N = 9   # 660032 trees in about 9 s and 230 MB; n = 10 has 12818912
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,12 +90,24 @@ class StratumInfo:
 # canonical form
 
 def _node(legs, kids) -> tuple:
-    """(serial, legs, kids, height): the part of a tree below one vertex and
-    away from one neighbour, serialized from that vertex, with the vertex's
-    sorted legs, its kid nodes sorted by serial, and its height in edges."""
+    """(serial, legs, kids, height, size, parents, labels, places): the part
+    of a tree below one vertex and away from one neighbour, serialized from
+    that vertex, with the vertex's sorted legs, its kid nodes sorted by
+    serial, its height in edges, and its preorder layout: size vertices
+    numbered from 0 at this vertex, the parent of each vertex after the
+    first, and each leg label below with the vertex it sits on."""
     kids = sorted(kids)
+    parents, labels, places, size, height = [], list(legs), [0] * len(legs), 1, 0
+    for kid in kids:
+        parents.append(0)
+        parents += map(size.__add__, kid[5])
+        labels += kid[6]
+        places += map(size.__add__, kid[7])
+        size += kid[4]
+        if kid[3] >= height:
+            height = kid[3] + 1
     serial = "(%s;%s)" % (",".join(map(str, legs)), "".join([k[0] for k in kids]))
-    return serial, legs, kids, 1 + max([k[3] for k in kids], default=-1)
+    return serial, legs, kids, height, size, parents, labels, places
 
 
 def _hang(adj, legs_at, v, parent=-1) -> tuple:
@@ -111,17 +132,15 @@ def _centred(legs, kids) -> tuple:
 
 def _numbered(root, n: int, shapes: dict) -> DualTree:
     """The DualTree of a centred node, its vertices numbered in serial order."""
-    edges, legs, stack, count = [], [0] * n, [(root, -1)], 0
-    while stack:
-        (_, labels, kids, _), parent = stack.pop()
-        if parent >= 0:
-            edges.append((parent, count))
-        for label in labels:
-            legs[label - 1] = count
-        stack.extend([(k, count) for k in reversed(kids)])
-        count += 1
-    edges = tuple(sorted(edges))  # trees of one shape share one tuple
-    return DualTree(count, shapes.setdefault(edges, edges), tuple(legs), root[0])
+    serial, _, _, _, size, parents, labels, places = root
+    legs = [0] * n
+    for label, v in zip(labels, places):
+        legs[label - 1] = v
+    # the parents in preorder give the shape; trees of one shape share one tuple
+    shape = tuple(parents)
+    if shape not in shapes:
+        shapes[shape] = tuple(sorted(zip(parents, range(1, size))))
+    return DualTree(size, shapes[shape], tuple(legs), serial)
 
 
 def tree_serial(tree: DualTree) -> str:
@@ -198,17 +217,62 @@ def _splits(labels):
             yield tuple(b[0] for b in blocks if len(b) == 1), [b for b in blocks if len(b) > 1]
 
 
-def _tops(labels, memo):
-    """Each top vertex (legs, kids) of a subtree with exactly the legs labels."""
+def _branches(labels, height, memo) -> list:
+    """Every node with exactly the legs labels and exactly this height."""
+    if len(labels) < height + 2:  # a path down of height edges ends on two legs
+        return []
+    key = labels, height
+    if key not in memo:
+        if height == 0:
+            memo[key] = [_node(labels, [])]
+        else:
+            memo[key] = [_node(legs, kids) for legs, blocks in _splits(labels)
+                         for kids in _kid_choices(blocks, height - 1, 1, memo)]
+    return memo[key]
+
+
+def _kid_choices(blocks, top, need, memo):
+    """Each choice of one node on every block, all of height at most top and
+    at least need of them of height exactly top."""
+    options = [([k for h in range(top) for k in _branches(b, h, memo)], _branches(b, top, memo))
+               for b in blocks]
+    for mask in itertools.product((0, 1), repeat=len(blocks)):
+        if sum(mask) >= need:
+            yield from itertools.product(*[pair[m] for pair, m in zip(options, mask)])
+
+
+def _centres(n: int):
+    """Every stable tree with legs 1..n as a node rooted at its center, once."""
+    memo = {}
+    labels = tuple(range(1, n + 1))
+    # one center: a vertex with at least three blocks and either no kids or
+    # two tallest kids of equal height
     for legs, blocks in _splits(labels):
-        for kids in itertools.product(*[_subtrees(b, memo) for b in blocks]):
-            yield legs, list(kids)
-
-
-def _subtrees(labels, memo) -> list:
-    if labels not in memo:
-        memo[labels] = [_node(legs, kids) for legs, kids in _tops(labels, memo)]
-    return memo[labels]
+        if len(legs) + len(blocks) < 3:
+            continue
+        if not blocks:
+            yield _node(legs, [])
+        elif len(blocks) >= 2:
+            reach = sorted(len(b) - 2 for b in blocks)  # the tallest kid each block fits
+            for height in range(reach[-2] + 1):
+                for kids in _kid_choices(blocks, height, 2, memo):
+                    yield _node(legs, kids)
+    # two centers: an edge between the sides a, with leg 1, and b, each side
+    # a node of the same height.  The ends carry disjoint legs and ";" is in
+    # no leg, so the heads "(legs;" of the two serials decide which end roots
+    # the tree, unless both ends are leg-free.
+    for size in range(1, n - 2):
+        for others in itertools.combinations(labels[1:], size):
+            a = (1,) + others
+            b = tuple(x for x in labels[1:] if x not in others)
+            for height in range(min(len(a), len(b)) - 1):
+                for x in _branches(a, height, memo):
+                    for y in _branches(b, height, memo):
+                        if x[1] or y[1]:
+                            top, below = (x, y) if x[0] < y[0] else (y, x)
+                            yield _node(top[1], top[2] + [below])
+                        else:
+                            yield min(_node(x[1], x[2] + [y]), _node(y[1], y[2] + [x]))
 
 
 @lru_cache(maxsize=None)
@@ -223,9 +287,10 @@ def enumerate_stable_trees(n: int) -> tuple:
         raise ValueError("n = %d exceeds the stratum enumeration bound (%d)"
                          % (n, ENUMERATION_MAX_N))
     shapes = {}
-    trees = [_numbered(_centred(legs + (n,), kids), n, shapes)
-             for legs, kids in _tops(tuple(range(1, n)), {})]
-    trees.sort(key=lambda t: (t.vertex_count, t.serial))
+    trees = [_numbered(root, n, shapes) for root in _centres(n)]
+    # stable sorts on one key each, strings then ints, beat one sort on pairs
+    trees.sort(key=attrgetter("serial"))
+    trees.sort(key=attrgetter("vertex_count"))
     return tuple(trees)
 
 
@@ -323,14 +388,22 @@ def _homog(z, p):
     return (1, 0) if z is None else (z % p, 1)
 
 
-def _canonical_tail(points, p):
-    # The Moebius map sending the first three points a, b, c to (0, 1, oo) is
-    # the cross-ratio z -> det(z,a) det(b,c) / (det(z,c) det(b,a)), where
-    # det(u,v) = u0 v1 - u1 v0 on homogeneous coordinates.
-    (a0, a1), (b0, b1), (c0, c1), *rest = [_homog(z, p) for z in points]
-    ratio = (b0 * c1 - b1 * c0) * pow(b0 * a1 - b1 * a0, -1, p)
-    return tuple([(x * a1 - y * a0) * ratio * pow(x * c1 - y * c0, -1, p) % p
-                  for x, y in rest])
+def _canonical_tails(n: int, p: int) -> set:
+    """The canonical tail of every n-tuple of distinct points of P^1(F_p):
+    the images of its last n - 3 points under the Moebius map that sends its
+    first three points a, b, c to (0, 1, oo).  That map is the cross-ratio
+    z -> det(z,a) det(b,c) / (det(z,c) det(b,a)), where det(u,v) = u0 v1 - u1 v0
+    on homogeneous coordinates; it is tabulated once per ordered triple."""
+    coords = {z: _homog(z, p) for z in projective_points(p)}
+    tails = set()
+    for a, b, c in itertools.permutations(coords, 3):
+        (a0, a1), (b0, b1), (c0, c1) = coords[a], coords[b], coords[c]
+        ratio = (b0 * c1 - b1 * c0) * pow(b0 * a1 - b1 * a0, -1, p)
+        image = {z: (x * a1 - y * a0) * ratio * pow(x * c1 - y * c0, -1, p) % p
+                 for z, (x, y) in coords.items() if z not in (a, b, c)}
+        tails.update(tuple(map(image.__getitem__, rest))
+                     for rest in itertools.permutations(image, n - 3))
+    return tails
 
 
 def orbit_count_direct(n: int, q: int) -> int:
@@ -353,7 +426,4 @@ def orbit_count_direct(n: int, q: int) -> int:
             "resource guard: explicit orbit enumeration is capped at q <= %d"
             % ORBIT_GUARD_MAX_Q
         )
-    seen = set()
-    for config in itertools.permutations(projective_points(q), n):
-        seen.add(_canonical_tail(config, q))
-    return len(seen)
+    return len(_canonical_tails(n, q))

@@ -1,12 +1,14 @@
 import ast
+import csv
 import doctest
 import hashlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
-from m0nbar import keel, strata
+from m0nbar import keel, strata, zeta
 from m0nbar.cli import main
 
 
@@ -123,7 +125,7 @@ def test_strata_guard_env(capsys, monkeypatch):
 def test_strata_guard_env_stops_at_the_library_bound(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("a tree was generated beyond the enumeration bound")
-    monkeypatch.setattr(strata, "_tops", refuse)
+    monkeypatch.setattr(strata, "_centres", refuse)
     monkeypatch.setenv("M0NBAR_STRATA_MAX_N", "10")
     assert run_cli(capsys, "strata", "--n", "10") == (
         2, "", "error: n = 10 exceeds the stratum enumeration bound (9)\n")
@@ -235,8 +237,9 @@ def test_verify_arguments_are_checked_before_the_first_report(capsys, monkeypatc
 
     monkeypatch.setattr(keel, "verify_count_recurrence", refuse)
     monkeypatch.setattr(strata, "stratified_count", refuse)
+    monkeypatch.setattr(zeta, "verify_zeta_counts", refuse)
     for argv, message in (
-        (("all", "--q", "4"), "p = 4 = 2^2 is not prime"),
+        (("zeta", "--q", "4"), "p = 4 = 2^2 is not prime"),
         (("all", "--q", "2,6"), "q = 6 = 2 * 3 is not a prime power"),
         (("all", "--order", "1"), "order must be between 2 and 10"),
         (("all", "--order", "11"), "order must be between 1 and 10"),
@@ -338,6 +341,20 @@ def test_verify_zeta(capsys):
     code, out, _ = run_cli(capsys, "verify", "zeta", "--max-n", "4", "--q", "2,3",
                            "--order", "3")
     assert code == 0
+
+
+def test_verify_all_runs_zeta_on_the_primes_of_the_q_list(capsys):
+    # under "all" the q list also feeds recurrence, strata and forget, which
+    # take prime powers; zeta takes the primes in it, or 2 and 3 if there are none
+    for qs, primes in (("4", {"2", "3"}), ("4,5", {"5"}), ("8,7,9,2", {"7", "2"})):
+        code, out, _ = run_cli(capsys, "verify", "all", "--max-n", "4", "--q", qs,
+                               "--format", "csv")
+        assert code == 0, qs
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert {r[1].split()[1] for r in rows if r[0].startswith("zeta")} == {
+            "p=%s" % p for p in primes}, qs
+        assert {r[1].split()[1] for r in rows if r[0] == "count-recurrence"} == {
+            "q=%s" % q for q in qs.split(",")}, qs
 
 
 def test_verify_forget_small(capsys):

@@ -197,7 +197,7 @@ def test_enumeration_rejects_small_n():
 def test_enumeration_bound_is_in_the_library(monkeypatch):
     def refuse(*args):
         raise AssertionError("a tree was generated beyond the enumeration bound")
-    monkeypatch.setattr("m0nbar.strata._tops", refuse)
+    monkeypatch.setattr("m0nbar.strata._centres", refuse)
     with pytest.raises(ValueError, match=r"n = 10 exceeds the stratum enumeration bound \(9\)"):
         enumerate_stable_trees(10)
 
