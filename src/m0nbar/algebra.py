@@ -82,8 +82,6 @@ def poly_mul(a, b) -> tuple:
 
 
 def poly_scale(a, c) -> tuple:
-    if c == 0:
-        return ()
     return normalize(x * c for x in a)
 
 

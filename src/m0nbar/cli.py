@@ -184,6 +184,8 @@ def cmd_strata(args):
 
 def cmd_zeta(args):
     require_prime(args.p)
+    if args.order is not None:
+        _require_order(args.order, 1)
     z = zeta.zeta_moduli(args.n, args.p)
     # the point counts over F_{p^r} for r = 1..order
     counts = [] if args.order is None else zeta.log_derivative_series(z, args.order).coeffs[1:]
@@ -235,12 +237,15 @@ def _parse_q_list(text) -> tuple:
 def _verify_reports(target, max_n, qs, order):
     runs = {name for name in VERIFY_TARGETS if target in (name, "all")}
     # refuse every bad argument before the first report is computed; strata
-    # and forget read the stratum census, forget at n+1
+    # and forget read the stratum census, forget at n+1, and recurrence and
+    # zeta read Keel rows up to max-n
     census_tops = {"strata": max_n, "forget": max_n + 1} if max_n is not None else {}
     for name, top in census_tops.items():
         if name in runs and top > strata.CENSUS_MAX_N:
             raise ValueError("max-n %d needs the stratum census at n = %d, beyond its guard (%d)"
                              % (max_n, top, strata.CENSUS_MAX_N))
+    if max_n is not None and runs & {"recurrence", "zeta"} and max_n > keel.KEEL_MAX_N:
+        raise ValueError("max-n %d exceeds the Keel row bound (%d)" % (max_n, keel.KEEL_MAX_N))
     if qs is not None and runs & {"recurrence", "strata", "forget"}:
         for q in qs:
             require_prime_power(q)

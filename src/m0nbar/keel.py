@@ -18,6 +18,8 @@ from math import comb
 from .algebra import IntPoly, poly_eval, require_prime_power
 from .report import make_report
 
+KEEL_MAX_N = 175  # rows up to n = 175 build cold in about 8 s; the cost grows about as n^4
+
 
 class BettiTable:
     """Memoized table of the numbers a_k(n) = b_{2k}(Mbar_{0,n}).
@@ -34,6 +36,8 @@ class BettiTable:
     def ensure(self, n: int) -> None:
         if n < 3:
             raise ValueError("n must be >= 3")
+        if n > KEEL_MAX_N:
+            raise ValueError("n = %d exceeds the Keel row bound (%d)" % (n, KEEL_MAX_N))
         rows = self._rows
         while self._max < n:
             m = self._max

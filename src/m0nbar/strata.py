@@ -9,11 +9,11 @@ Stability is the valence bound
     (incident edges) + (assigned legs) >= 3   at every vertex.
 
 Enumeration builds each tree rooted at its graph-theoretic center, so every
-tree comes out once and none is re-rooted or deduplicated.  A tree with one
-center is a vertex over a set partition of the legs into at least three
-blocks, each a leg on it or a subtree below it, whose two tallest subtrees
-have equal height.  A tree with two centers is an edge between two subtrees
-of equal height, one with leg 1 and one with the rest.  Every vertex of a
+tree comes out once and none is re-rooted or deduplicated.  One loop walks
+the set partitions of the legs, each block a leg or a subtree.  A partition
+into at least three blocks is a center vertex, with no subtrees or two
+tallest subtrees of equal height.  A leg-free partition into two blocks is
+the center edge between two subtrees of equal height.  Every vertex of a
 subtree splits the legs below it into at least two blocks (Schroeder's total
 partitions, OEIS A000311).  Subtrees are memoized by leg set and exact
 height, for the heights a center can use.  A vertex with b blocks has
@@ -234,45 +234,40 @@ def _branches(labels, height, memo) -> list:
 def _kid_choices(blocks, top, need, memo):
     """Each choice of one node on every block, all of height at most top and
     at least need of them of height exactly top."""
-    options = [([k for h in range(top) for k in _branches(b, h, memo)], _branches(b, top, memo))
-               for b in blocks]
-    for mask in itertools.product((0, 1), repeat=len(blocks)):
-        if sum(mask) >= need:
-            yield from itertools.product(*[pair[m] for pair, m in zip(options, mask)])
+    options = [[k for h in range(top + 1) for k in _branches(b, h, memo)] for b in blocks]
+    # a second product, in step with the first, flags the kids at height top,
+    # so choosing costs no Python bytecode per choice
+    at_top = [[k[3] == top for k in option] for option in options]
+    return itertools.compress(itertools.product(*options),
+                              map(need.__le__, map(sum, itertools.product(*at_top))))
 
 
 def _centres(n: int):
-    """Every stable tree with legs 1..n as a node rooted at its center, once."""
+    """Every stable tree with legs 1..n as a node rooted at its center, once.
+
+    The center is a vertex with at least three blocks and either no kids or
+    two tallest kids of equal height, or, for a leg-free split into two
+    blocks, the edge between the two kids.  The ends of that edge carry
+    disjoint legs and ";" is in no leg, so the heads "(legs;" of the two
+    serials decide which end roots the tree, unless both ends are leg-free.
+    """
     memo = {}
-    labels = tuple(range(1, n + 1))
-    # one center: a vertex with at least three blocks and either no kids or
-    # two tallest kids of equal height
-    for legs, blocks in _splits(labels):
-        if len(legs) + len(blocks) < 3:
-            continue
+    for legs, blocks in _splits(tuple(range(1, n + 1))):
         if not blocks:
             yield _node(legs, [])
         elif len(blocks) >= 2:
             reach = sorted(len(b) - 2 for b in blocks)  # the tallest kid each block fits
             for height in range(reach[-2] + 1):
                 for kids in _kid_choices(blocks, height, 2, memo):
-                    yield _node(legs, kids)
-    # two centers: an edge between the sides a, with leg 1, and b, each side
-    # a node of the same height.  The ends carry disjoint legs and ";" is in
-    # no leg, so the heads "(legs;" of the two serials decide which end roots
-    # the tree, unless both ends are leg-free.
-    for size in range(1, n - 2):
-        for others in itertools.combinations(labels[1:], size):
-            a = (1,) + others
-            b = tuple(x for x in labels[1:] if x not in others)
-            for height in range(min(len(a), len(b)) - 1):
-                for x in _branches(a, height, memo):
-                    for y in _branches(b, height, memo):
-                        if x[1] or y[1]:
-                            top, below = (x, y) if x[0] < y[0] else (y, x)
-                            yield _node(top[1], top[2] + [below])
-                        else:
-                            yield min(_node(x[1], x[2] + [y]), _node(y[1], y[2] + [x]))
+                    if legs or len(kids) > 2:
+                        yield _node(legs, kids)
+                        continue
+                    x, y = kids  # a leg-free split into two blocks: the center edge
+                    if x[1] or y[1]:
+                        top, below = (x, y) if x[0] < y[0] else (y, x)
+                        yield _node(top[1], top[2] + [below])
+                    else:
+                        yield min(_node(x[1], x[2] + [y]), _node(y[1], y[2] + [x]))
 
 
 @lru_cache(maxsize=None)
@@ -379,22 +374,14 @@ def boundary_edge_sum(n: int, q: int) -> int:
 # ---------------------------------------------------------------------------
 # explicit orbit counting over tiny prime fields
 
-def projective_points(p: int) -> list:
-    """P^1(F_p) as 0..p-1 plus None for the point at infinity."""
-    return list(range(p)) + [None]
-
-
-def _homog(z, p):
-    return (1, 0) if z is None else (z % p, 1)
-
-
 def _canonical_tails(n: int, p: int) -> set:
     """The canonical tail of every n-tuple of distinct points of P^1(F_p):
     the images of its last n - 3 points under the Moebius map that sends its
     first three points a, b, c to (0, 1, oo).  That map is the cross-ratio
     z -> det(z,a) det(b,c) / (det(z,c) det(b,a)), where det(u,v) = u0 v1 - u1 v0
     on homogeneous coordinates; it is tabulated once per ordered triple."""
-    coords = {z: _homog(z, p) for z in projective_points(p)}
+    coords = {z: (z, 1) for z in range(p)}
+    coords[None] = (1, 0)  # the point at infinity
     tails = set()
     for a, b, c in itertools.permutations(coords, 3):
         (a0, a1), (b0, b1), (c0, c1) = coords[a], coords[b], coords[c]

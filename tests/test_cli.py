@@ -10,6 +10,7 @@ from pathlib import Path
 
 from m0nbar import keel, strata, zeta
 from m0nbar.cli import main
+from m0nbar.report import make_report
 
 
 def run_cli(capsys, *argv):
@@ -244,6 +245,10 @@ def test_verify_arguments_are_checked_before_the_first_report(capsys, monkeypatc
         (("all", "--order", "1"), "order must be between 2 and 10"),
         (("all", "--order", "11"), "order must be between 1 and 10"),
         (("recurrence", "--max-n", "3"), "max-n must be >= 4"),
+        (("recurrence", "--max-n", str(keel.KEEL_MAX_N + 1)),
+         "max-n %d exceeds the Keel row bound (%d)" % (keel.KEEL_MAX_N + 1, keel.KEEL_MAX_N)),
+        (("zeta", "--max-n", str(keel.KEEL_MAX_N + 1)),
+         "max-n %d exceeds the Keel row bound (%d)" % (keel.KEEL_MAX_N + 1, keel.KEEL_MAX_N)),
         (("all", "--max-n", "3"), "max-n must be >= 4"),
     ):
         code, _, err = run_cli(capsys, "verify", *argv)
@@ -262,6 +267,24 @@ def test_zeta_plain(capsys):
         "T^2 37",
         "T^3 105",
     ]
+
+
+def test_zeta_order_is_checked_before_the_series(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the zeta function was computed before --order was checked")
+
+    monkeypatch.setattr(zeta, "zeta_moduli", refuse)
+    for order in ("0", "11", "20000"):
+        code, out, err = run_cli(capsys, "zeta", "--n", "5", "--p", "2", "--order", order)
+        assert (code, out, err) == (2, "", "error: order must be between 1 and 10\n"), order
+
+
+def test_keel_row_bound(capsys):
+    message = "error: n = 100000 exceeds the Keel row bound (%d)\n" % keel.KEEL_MAX_N
+    for argv in (("poincare", "--n", "100000"), ("betti", "--n", "100000", "--k", "1"),
+                 ("count", "--n", "100000", "--q", "2")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", message), argv
 
 
 def test_zeta_rejects_composite_p(capsys):
@@ -383,6 +406,30 @@ def test_verify_bad_inputs(capsys):
     assert "guard" in err
     code, _, err = run_cli(capsys, "verify", "getzler", "--order", "12")
     assert code == 2
+    code, _, err = run_cli(capsys, "verify", "strata", "--q", ",")
+    assert (code, err) == (2, "error: empty q list\n")
+
+
+def test_verify_reports_failures(capsys, monkeypatch):
+    def failing(n_max, q):
+        return [make_report("count-recurrence", {"n": 4, "q": q}, 3, 4),
+                make_report("count-recurrence", {"n": 5, "q": q}, 7, 7)]
+
+    monkeypatch.setattr(keel, "verify_count_recurrence", failing)
+    argv = ("verify", "recurrence", "--max-n", "5", "--q", "2")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    assert out.splitlines()[0].startswith("FAIL  count-recurrence")
+    assert out.splitlines()[-1] == "FAIL: 1 of 2 identities failed"
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    payload = json.loads(out)
+    assert code == 1
+    assert payload["pass"] is False
+    assert [r["pass"] for r in payload["reports"]] == [False, True]
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 1
+    assert out.splitlines()[1:] == ["count-recurrence,n=4 q=2,3,4,fail",
+                                    "count-recurrence,n=5 q=2,7,7,pass"]
 
 
 def test_output_file(capsys, tmp_path):
@@ -392,6 +439,11 @@ def test_output_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["coeffs"] == ["1", "16", "16", "1"]
+    missing = tmp_path / "missing" / "p6.json"
+    code, out, err = run_cli(capsys, "poincare", "--n", "6", "--output", str(missing))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write %s: " % missing)
+    assert not missing.parent.exists()
 
 
 def test_deterministic_output(capsys):

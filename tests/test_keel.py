@@ -1,10 +1,12 @@
 import hashlib
+import time
 from math import comb
 
 import pytest
 
 from m0nbar.algebra import poly_add, poly_mul, poly_scale
 from m0nbar.keel import (
+    KEEL_MAX_N,
     BettiTable,
     betti,
     glued_pair_count,
@@ -108,6 +110,17 @@ def test_fresh_table_is_independent_of_module_state():
     assert table.betti(7, 9) == 0
     with pytest.raises(ValueError):
         table.ensure(2)
+
+
+def test_rows_beyond_the_bound_are_refused_before_any_is_built():
+    # the rows test_rows_digest_pinned covers stay inside the bound
+    assert KEEL_MAX_N >= 150
+    table = BettiTable()
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"Keel row bound \(%d\)" % KEEL_MAX_N):
+        table.ensure(KEEL_MAX_N + 1)
+    assert time.perf_counter() - start < 0.01
+    assert table.row(4) == (1, 1)
 
 
 # sha256 of the rows P_3 .. P_150, one comma-separated line per row, pinned

@@ -264,6 +264,16 @@ def test_make_tree_validation():
         make_tree(3, [(0, 1)], {1: 0, 2: 0, 3: 1, 4: 2, 5: 2, 6: 2})
     with pytest.raises(ValueError, match="labels"):
         make_tree(1, [], {1: 0, 3: 0, 4: 0})
+    with pytest.raises(ValueError, match="duplicate edges"):
+        make_tree(3, [(0, 1), (1, 0)], {1: 0, 2: 0, 3: 1, 4: 2, 5: 2})
+    with pytest.raises(ValueError, match="bad edge"):
+        make_tree(2, [(0, 2)], {1: 0, 2: 0, 3: 1, 4: 1})
+    with pytest.raises(ValueError, match="bad edge"):
+        make_tree(2, [(1, 1)], {1: 0, 2: 0, 3: 1, 4: 1})
+    with pytest.raises(ValueError, match="do not connect"):  # a triangle and a lone vertex
+        make_tree(4, [(0, 1), (1, 2), (0, 2)], {k: k % 4 for k in range(1, 9)})
+    with pytest.raises(ValueError, match="leg 3 sits on unknown vertex 5"):
+        make_tree(1, [], {1: 0, 2: 0, 3: 5})
 
 
 def test_open_stratum_poly():
