@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt, log2
 
 # Polynomials are coefficient tuples in canonical form; IntPoly carries ints,
@@ -383,9 +384,13 @@ def is_prime(m: int) -> bool:
     return _certify_prime(m)
 
 
+@lru_cache(maxsize=1024)
 def is_prime_power(m: int) -> bool:
     """Is m = p^k for a prime p and k >= 1?  Raises ValueError if p cannot be
-    certified (it passes Miller-Rabin but lies above MILLER_RABIN_LIMIT)."""
+    certified (it passes Miller-Rabin but lies above MILLER_RABIN_LIMIT).
+
+    Answers are memoized, since every per-q call validates its q again; a
+    raise is not, so an uncertifiable m raises on every call."""
     for p, square in _PRIME_SQUARES:
         if square > m:
             return m >= 2

@@ -16,7 +16,7 @@ is no curve-by-curve construction of the map itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import poly_eval, require_prime_power
 from .keel import glued_pair_count
@@ -37,8 +37,7 @@ def fiber_size(k_rho: int, q: int) -> int:
     return (q + 1) + q * k_rho
 
 
-@dataclass(frozen=True)
-class FiberBreakdown:
+class FiberBreakdown(NamedTuple):
     """The three addends of the fiber count over one stratum's curves."""
     k_rho: int
     q: int
@@ -56,7 +55,7 @@ def fiber_size_breakdown(tree: DualTree, q: int):
     the stratum has no F_q-points, and no breakdown is meaningful.
     """
     require_prime_power(q)
-    if any(m > q + 1 for m in tree.valences()):
+    if max(tree.valences()) > q + 1:
         return None
     n = tree.n_legs
     k = tree.edge_count

@@ -34,6 +34,7 @@ from .algebra import (
     poly_mul,
     poly_neg,
     poly_scale,
+    poly_str,
     poly_sub,
     ratpoly,
     ratpoly_div_exact,
@@ -90,11 +91,22 @@ def verify_inverse(order: int) -> list:
     g = series_g(order)
     identity = biseries_x(order + 1)
     return [
-        make_report("getzler-inverse", {"order": order, "direction": "f(g(x))"},
-                    series_compose(f, g), identity, render=_biseries_brief),
-        make_report("getzler-inverse", {"order": order, "direction": "g(f(x))"},
-                    series_compose(g, f), identity, render=_biseries_brief),
+        _inverse_report(order, "f(g(x))", series_compose(f, g), identity),
+        _inverse_report(order, "g(f(x))", series_compose(g, f), identity),
     ]
+
+
+def _inverse_report(order: int, direction: str, composed: BiSeries, identity: BiSeries):
+    """The report of one composition against x; a failing one also names the
+    first power of x where the two differ, with both coefficients in s."""
+    report = make_report("getzler-inverse", {"order": order, "direction": direction},
+                         composed, identity, render=_biseries_brief)
+    pairs = enumerate(zip(composed.coeffs, identity.coeffs))
+    k = next((i for i, (a, b) in pairs if a != b), None)
+    if k is not None:
+        report.lhs += " [x^%d: %s]" % (k, poly_str(composed.coeffs[k]))
+        report.rhs += " [x^%d: %s]" % (k, poly_str(identity.coeffs[k]))
+    return report
 
 
 def _biseries_brief(b: BiSeries) -> str:

@@ -17,8 +17,9 @@ the center edge between two subtrees of equal height.  Every vertex of a
 subtree splits the legs below it into at least two blocks (Schroeder's total
 partitions, OEIS A000311).  Subtrees are memoized by leg set and exact
 height, for the heights a center can use.  A vertex with b blocks has
-valence b + 1, so the same splits give the census of stratum types without
-building a tree.
+valence b + 1, so the block sizes of the splits give the census of stratum
+types without building a tree: one integer partition of the legs stands for
+every set partition with its block sizes.
 
 Canonical form: a tree is serialized rooted at each graph-theoretic center
 as "(sorted,legs;child1child2...)" with children sorted by their own
@@ -37,13 +38,13 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from math import prod
+from math import factorial, prod
 from operator import attrgetter, itemgetter
 
 from .algebra import IntPoly, is_prime, poly_eval, poly_mul, require_prime_power
 
 ORBIT_GUARD_MAX_Q = 7   # (q+1)!/(q+1-n)! canonicalizations; 8!/1 worst case
-CENSUS_MAX_N = 10       # the census takes about 0.3 s at n = 10 and 2 s at n = 11
+CENSUS_MAX_N = 10       # cold, the census takes 1-4 ms at n = 10 and 0.4 s at n = 20
 ENUMERATION_MAX_N = 9   # 660032 trees in about 9 s and 230 MB; n = 10 has 12818912
 
 
@@ -289,16 +290,34 @@ def enumerate_stable_trees(n: int) -> tuple:
     return tuple(trees)
 
 
+def _integer_partitions(k: int, largest: int):
+    """Every integer partition of k into parts of at most largest, as a
+    non-increasing list."""
+    if k == 0:
+        yield []
+        return
+    for part in range(min(k, largest), 0, -1):
+        for rest in _integer_partitions(k - part, part):
+            yield [part] + rest
+
+
 @lru_cache(maxsize=None)
 def _valence_types(k: int) -> Counter:
     """Sorted valence tuples of the subtrees on k given legs, with their
     multiplicities.  Relabelling the legs keeps the valences, so only k
-    matters; callers read the shared Counter and never change it."""
+    matters; callers read the shared Counter and never change it.
+
+    The top vertex splits the k legs into at least two blocks, and only the
+    block sizes decide the valences, so each integer partition of k stands
+    for its k! / (prod size! prod (blocks of one size)!) set partitions."""
     types = Counter()
-    for legs, blocks in _splits(tuple(range(k))):
-        own = (len(legs) + len(blocks) + 1,)  # blocks, plus the edge above
-        for combo in itertools.product(*[_valence_types(len(b)).items() for b in blocks]):
-            types[tuple(sorted(sum((v for v, _ in combo), own)))] += prod(m for _, m in combo)
+    for sizes in _integer_partitions(k, k - 1):
+        ways = factorial(k) // prod(map(factorial, sizes + list(Counter(sizes).values())))
+        own = (len(sizes) + 1,)  # blocks, plus the edge above
+        options = [_valence_types(size).items() for size in sizes if size > 1]
+        for combo in itertools.product(*options):
+            valences = tuple(sorted(sum((v for v, _ in combo), own)))
+            types[valences] += ways * prod(m for _, m in combo)
     return types
 
 

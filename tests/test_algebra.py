@@ -179,6 +179,48 @@ def test_prime_powers():
     assert factorization_str(12) == "2^2 * 3"
 
 
+def test_prime_power_memo_keeps_every_check():
+    require_prime_power(5)
+    require_prime_power(9)
+    for _ in range(3):
+        for q in (6, 1, 0, -4):
+            with pytest.raises(ValueError, match="not a prime power"):
+                require_prime_power(q)
+        require_prime_power(5)
+        require_prime_power(9)
+    # a raise is never memoized: an uncertifiable prime is refused every time
+    for _ in range(2):
+        with pytest.raises(ValueError, match="cannot certify"):
+            is_prime_power(2**89 - 1)
+    assert is_prime_power.cache_info().maxsize is not None
+
+
+def test_prime_power_memo_answers_cold_and_warm():
+    limit = 5000
+    sieve = [True] * limit
+    for p in range(2, limit):
+        if sieve[p]:
+            for m in range(p * p, limit, p):
+                sieve[m] = False
+    powers = set()
+    for p in range(2, limit):
+        if sieve[p]:
+            power = p
+            while power < limit:
+                powers.add(power)
+                power *= p
+    # chunks that fit the memo: each is read once cold, then once warm
+    is_prime_power.cache_clear()
+    cold, warm = [], []
+    for start in range(2, limit, 500):
+        chunk = range(start, min(start + 500, limit))
+        cold += [m for m in chunk if is_prime_power(m)]
+        warm += [m for m in chunk if is_prime_power(m)]
+    info = is_prime_power.cache_info()
+    assert info.misses == info.hits == limit - 2
+    assert cold == warm == sorted(powers)
+
+
 def _trial_division_reference(limit):
     # smallest prime factor of every 2 <= m < limit, by plain trial division
     primes = []     # the primes below sqrt(limit)

@@ -3,13 +3,15 @@ import random
 import pytest
 
 from m0nbar.forget import (
+    FiberBreakdown,
     fiber_size,
     fiber_size_breakdown,
     verify_fiber_sum,
     verify_lemma3,
     verify_lemma4,
 )
-from m0nbar.strata import enumerate_stable_trees, make_tree
+from m0nbar.keel import point_count, verify_count_recurrence
+from m0nbar.strata import boundary_edge_sum, enumerate_stable_trees, make_tree, stratified_count
 
 
 def test_fiber_size():
@@ -64,6 +66,45 @@ def test_breakdown_identity_random_trees():
                 continue
             assert b.total == fiber_size(tree.edge_count, q)
             assert b.same_component >= 0
+
+
+def test_breakdown_every_small_tree():
+    fields = ("k_rho", "q", "same_component", "leg_sprouts", "node_sprouts", "total")
+    assert FiberBreakdown._fields == fields
+    for n in range(3, 8):
+        for tree in enumerate_stable_trees(n):
+            k = tree.edge_count
+            for q in (2, 3, 4, 5, 7, 8, 9, 11):
+                b = fiber_size_breakdown(tree, q)
+                if max(tree.valences()) > q + 1:
+                    assert b is None
+                    continue
+                want = (k, q, (k + 1) * (q + 1) - n - 2 * k, n, k, fiber_size(k, q))
+                assert isinstance(b, FiberBreakdown)
+                assert tuple(b) == want
+                assert tuple(getattr(b, name) for name in fields) == want
+    with pytest.raises(AttributeError):
+        b.total = 0
+
+
+def test_per_q_entry_points_reject_bad_q_every_call():
+    tree = make_tree(1, [], {1: 0, 2: 0, 3: 0})
+    entry_points = (
+        lambda q: fiber_size_breakdown(tree, q),
+        lambda q: fiber_size(1, q),
+        lambda q: verify_fiber_sum(5, q),
+        lambda q: stratified_count(5, q),
+        lambda q: boundary_edge_sum(5, q),
+        lambda q: point_count(5, q),
+        lambda q: verify_count_recurrence(5, q),
+    )
+    for call in entry_points:
+        call(5)
+        for _ in range(3):
+            for bad in (6, 1, 0, -4):
+                with pytest.raises(ValueError, match="not a prime power"):
+                    call(bad)
+            call(5)
 
 
 def test_lemma3_hand_values():

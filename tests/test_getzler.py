@@ -3,7 +3,9 @@ from math import factorial
 
 import pytest
 
-from m0nbar.algebra import poly_scale, ratpoly, series_compose
+from m0nbar import getzler
+from m0nbar.algebra import BiSeries, poly_add, poly_scale, ratpoly, series_compose
+from m0nbar.cli import main
 from m0nbar.getzler import (
     falling_binomial,
     open_homology_dims,
@@ -81,6 +83,46 @@ def test_inverse_hand_order_three():
 def test_inverse_orders():
     for order in (3, 6, 8):
         assert all_pass(verify_inverse(order))
+
+
+def test_inverse_passing_lines_are_unchanged():
+    assert [r.line() for r in verify_inverse(4)] == [
+        "PASS  getzler-inverse    order=4 direction=f(g(x)) lhs=x^1 rhs=x^1",
+        "PASS  getzler-inverse    order=4 direction=g(f(x)) lhs=x^1 rhs=x^1",
+    ]
+
+
+def test_inverse_failure_names_the_first_differing_coefficient(monkeypatch, capsys):
+    # f with 1 added to its x^3 coefficient: both compositions first differ
+    # from x at x^3, by exactly that 1, since g = x + O(x^2)
+    right = series_f
+
+    def wrong_f(order):
+        f = right(order)
+        coeffs = list(f.coeffs)
+        coeffs[3] = poly_add(coeffs[3], ratpoly(1))
+        return BiSeries(f.order, coeffs)
+
+    monkeypatch.setattr(getzler, "series_f", wrong_f)
+    reports = verify_inverse(4)
+    assert not all_pass(reports)
+    assert [r.line() for r in reports] == [
+        "FAIL  getzler-inverse    order=4 direction=f(g(x)) "
+        "lhs=x^1 + x^3 + x^4 [x^3: 1] rhs=x^1 [x^3: 0]",
+        "FAIL  getzler-inverse    order=4 direction=g(f(x)) "
+        "lhs=x^1 + x^3 + x^4 [x^3: 1] rhs=x^1 [x^3: 0]",
+    ]
+    # the CLI prints the same lines
+    assert main(["verify", "getzler", "--order", "4"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == [r.line() for r in reports]
+    # f = 2x + s x^3: both sides have an x^1 term, so only the coefficient
+    # shows where they part
+    monkeypatch.setattr(getzler, "series_f",
+                        lambda order: BiSeries(order + 1, [(), (2,), (), (0, 1), ()]))
+    assert [r.lhs + " | " + r.rhs for r in verify_inverse(4)] == [
+        "x^1 + x^2 + x^3 + x^4 [x^1: 2] | x^1 [x^1: 1]",
+    ] * 2
 
 
 def test_homology_dims_small():

@@ -1,8 +1,10 @@
 import hashlib
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
-from math import comb
+from functools import cache
+from math import comb, prod
 
 import pytest
 
@@ -132,6 +134,42 @@ def test_census_sizes_are_schroeder():
         stratum_census(2)
     with pytest.raises(ValueError, match="census guard"):
         stratum_census(11)
+
+
+def _set_partitions(labels):
+    if not labels:
+        yield []
+        return
+    for rest in _set_partitions(labels[1:]):
+        yield [labels[:1]] + rest
+        for i in range(len(rest)):
+            yield rest[:i] + [labels[:1] + rest[i]] + rest[i + 1:]
+
+
+@cache
+def _valences_by_set_partitions(k):
+    # the sorted valence tuples of the subtrees on k legs, walking every set
+    # partition of the legs; the census sums over integer partitions instead
+    types = Counter()
+    for blocks in _set_partitions(list(range(k))):
+        if len(blocks) < 2:
+            continue
+        subtrees = [_valences_by_set_partitions(len(b)) for b in blocks if len(b) > 1]
+        for combo in itertools.product(*[t.items() for t in subtrees]):
+            valences = [len(blocks) + 1] + [v for vs, _ in combo for v in vs]
+            types[tuple(sorted(valences))] += prod(m for _, m in combo)
+    return types
+
+
+def test_census_matches_set_partition_walk():
+    for n in range(3, CENSUS_MAX_N + 1):
+        census = Counter()
+        for valences, mult in _valences_by_set_partitions(n - 1).items():
+            poly = (1,)
+            for v in valences:
+                poly = poly_mul(poly, open_stratum_poly(v))
+            census[poly, len(valences) - 1] += mult
+        assert dict(stratum_census(n)) == census, n
 
 
 def test_make_tree_ignores_numbering():
