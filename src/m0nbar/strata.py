@@ -26,10 +26,13 @@ as "(sorted,legs;child1child2...)" with children sorted by their own
 serialization, and the lexicographically smaller string wins.  Sibling
 subtrees carry disjoint, nonempty leg sets, so siblings never tie and the
 string is a complete invariant.  A DualTree is numbered in the order of its
-string and keeps it, so == on DualTree is leg-labeled isomorphism.  Every
-node keeps its layout in that numbering, so a centred tree is numbered by
-shifting the layouts of its subtrees.  make_tree finds the center of
-arbitrary input by walking from any vertex, and builds the same nodes.
+string, so == on DualTree is leg-labeled isomorphism.  Nodes carry no
+numbering: a tree made from its serial numbers itself from the string the
+first time its edges or legs are read, and keeps the result.  Each node
+carries the valences of its vertices instead, so a stratum table takes
+every count polynomial from the generator and numbers no tree.  make_tree
+finds the center of arbitrary input by walking from any vertex, builds the
+same nodes, and returns the same serial-made tree.
 """
 
 from __future__ import annotations
@@ -45,21 +48,39 @@ from .algebra import IntPoly, is_prime, poly_eval, poly_mul, require_prime_power
 
 ORBIT_GUARD_MAX_Q = 7   # (q+1)!/(q+1-n)! canonicalizations; 8!/1 worst case
 CENSUS_MAX_N = 10       # cold, the census takes 1-4 ms at n = 10 and 0.4 s at n = 20
-ENUMERATION_MAX_N = 9   # 660032 trees in about 9 s and 230 MB; n = 10 has 12818912
+ENUMERATION_MAX_N = 9   # cold strata_table: 660032 trees in 6.8 s and 180 MB; n = 10 has 12818912
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class DualTree:
     """Combinatorial type of a stable genus-zero curve, in canonical numbering.
 
     edges is a sorted tuple of sorted vertex pairs; legs[i] is the vertex
     carrying leg label i+1.  serial, when set, is the canonical
-    serialization; it takes no part in ==.
+    serialization; it takes no part in ==.  A tree made with edges and legs
+    None numbers itself from its serial the first time either is read, and
+    keeps the result.
     """
     vertex_count: int
     edges: tuple
     legs: tuple
     serial: str = field(default="", compare=False)
+
+    def __init__(self, vertex_count: int, edges, legs, serial: str = ""):
+        object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "serial", serial)
+        if edges is not None:
+            object.__setattr__(self, "edges", edges)
+            object.__setattr__(self, "legs", legs)
+
+    def __getattr__(self, name):
+        # reached only when a slot is empty: edges and legs not yet numbered
+        if name not in ("edges", "legs"):
+            raise AttributeError("'DualTree' object has no attribute %r" % name)
+        edges, legs = _numbering(self.serial)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "legs", legs)
+        return edges if name == "edges" else legs
 
     @property
     def n_legs(self) -> int:
@@ -91,24 +112,19 @@ class StratumInfo:
 # canonical form
 
 def _node(legs, kids) -> tuple:
-    """(serial, legs, kids, height, size, parents, labels, places): the part
-    of a tree below one vertex and away from one neighbour, serialized from
-    that vertex, with the vertex's sorted legs, its kid nodes sorted by
-    serial, its height in edges, and its preorder layout: size vertices
-    numbered from 0 at this vertex, the parent of each vertex after the
-    first, and each leg label below with the vertex it sits on."""
+    """(serial, legs, kids, height, valences): the part of a tree below one
+    vertex and away from one neighbour, serialized from that vertex, with
+    the vertex's sorted legs, its kid nodes sorted by serial, its height in
+    edges, and the valence of every vertex in it in serial order, each
+    counting the edge towards that neighbour."""
     kids = sorted(kids)
-    parents, labels, places, size, height = [], list(legs), [0] * len(legs), 1, 0
+    valences, height = (len(legs) + len(kids) + 1,), 0
     for kid in kids:
-        parents.append(0)
-        parents += map(size.__add__, kid[5])
-        labels += kid[6]
-        places += map(size.__add__, kid[7])
-        size += kid[4]
+        valences += kid[4]
         if kid[3] >= height:
             height = kid[3] + 1
     serial = "(%s;%s)" % (",".join(map(str, legs)), "".join([k[0] for k in kids]))
-    return serial, legs, kids, height, size, parents, labels, places
+    return serial, legs, kids, height, valences
 
 
 def _hang(adj, legs_at, v, parent=-1) -> tuple:
@@ -131,17 +147,35 @@ def _centred(legs, kids) -> tuple:
     return _node(legs, kids + up)
 
 
-def _numbered(root, n: int, shapes: dict) -> DualTree:
-    """The DualTree of a centred node, its vertices numbered in serial order."""
-    serial, _, _, _, size, parents, labels, places = root
-    legs = [0] * n
-    for label, v in zip(labels, places):
-        legs[label - 1] = v
-    # the parents in preorder give the shape; trees of one shape share one tuple
-    shape = tuple(parents)
-    if shape not in shapes:
-        shapes[shape] = tuple(sorted(zip(parents, range(1, size))))
-    return DualTree(size, shapes[shape], tuple(legs), serial)
+_LEG_CHARS = str.maketrans("", "", "0123456789,")
+
+
+@lru_cache(maxsize=1024)  # the trees of n = 9 have 32 shapes
+def _shape_edges(shape: str) -> tuple:
+    """The sorted edges of a serialization with its legs taken out, so
+    that trees of one shape share one tuple."""
+    edges, path = [], []
+    # each vertex's piece is ";" and then one ")" per vertex it closes
+    for v, piece in enumerate(shape.split("(")[1:]):
+        if path:
+            edges.append((path[-1], v))
+        path.append(v)
+        del path[len(path) + 1 - len(piece):]
+    edges.sort()
+    return tuple(edges)
+
+
+def _numbering(serial: str) -> tuple:
+    """(edges, legs) of the tree with this serialization, its vertices
+    numbered in the order their "(" come in the string."""
+    places = {}
+    for v, piece in enumerate(serial.split("(")[1:]):
+        labels = piece[:piece.index(";")]
+        if labels:
+            for label in labels.split(","):
+                places[int(label)] = v
+    legs = tuple([places[label] for label in range(1, len(places) + 1)])
+    return _shape_edges(serial.translate(_LEG_CHARS)), legs
 
 
 def tree_serial(tree: DualTree) -> str:
@@ -193,7 +227,8 @@ def make_tree(vertex_count: int, edges, legs) -> DualTree:
     for v in range(vertex_count):
         if len(adj[v]) + len(legs_at[v]) < 3:
             raise ValueError("vertex %d has valence < 3 (not stable)" % v)
-    return _numbered(_centred(*_hang(adj, legs_at, 0)[1:3]), n, {})
+    root = _centred(*_hang(adj, legs_at, 0)[1:3])
+    return DualTree(len(root[4]), None, None, root[0])
 
 
 # ---------------------------------------------------------------------------
@@ -277,17 +312,7 @@ def enumerate_stable_trees(n: int) -> tuple:
 
     Deterministic order: by vertex count, then by canonical serialization.
     """
-    if n < 3:
-        raise ValueError("n must be >= 3")
-    if n > ENUMERATION_MAX_N:
-        raise ValueError("n = %d exceeds the stratum enumeration bound (%d)"
-                         % (n, ENUMERATION_MAX_N))
-    shapes = {}
-    trees = [_numbered(root, n, shapes) for root in _centres(n)]
-    # stable sorts on one key each, strings then ints, beat one sort on pairs
-    trees.sort(key=attrgetter("serial"))
-    trees.sort(key=attrgetter("vertex_count"))
-    return tuple(trees)
+    return tuple(row.tree for row in strata_table(n))
 
 
 def _integer_partitions(k: int, largest: int):
@@ -348,12 +373,31 @@ def _count_poly(valences: tuple) -> IntPoly:
 
 
 @lru_cache(maxsize=None)
+def _centred_poly(valences: tuple) -> IntPoly:
+    """Point count of the stratum of a centred node with these valences;
+    its root has no edge above it.  Trees share few valence tuples (32
+    among the 39208 trees at n = 8), so each is sorted once."""
+    return _count_poly(tuple(sorted((valences[0] - 1,) + valences[1:])))
+
+
+@lru_cache(maxsize=None)
 def strata_table(n: int) -> tuple:
-    """StratumInfo for every stable tree with n legs, in enumeration order."""
-    return tuple(
-        StratumInfo(tree, _count_poly(tuple(sorted(tree.valences()))), tree.edge_count)
-        for tree in enumerate_stable_trees(n)
-    )
+    """StratumInfo for every stable tree with n legs, in enumeration order.
+
+    No tree is numbered: each row's count polynomial comes from the
+    valences the generator carries, and its tree from the serial.
+    """
+    if n < 3:
+        raise ValueError("n must be >= 3")
+    if n > ENUMERATION_MAX_N:
+        raise ValueError("n = %d exceeds the stratum enumeration bound (%d)"
+                         % (n, ENUMERATION_MAX_N))
+    rows = [StratumInfo(DualTree(len(valences), None, None, serial), _centred_poly(valences),
+                        len(valences) - 1) for serial, _, _, _, valences in _centres(n)]
+    # stable sorts on one key each, strings then ints, beat one sort on pairs
+    rows.sort(key=attrgetter("tree.serial"))
+    rows.sort(key=attrgetter("edge_count"))
+    return tuple(rows)
 
 
 @lru_cache(maxsize=None)

@@ -150,6 +150,25 @@ def test_strata_output_digests(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
 
 
+# sha256 of `verify all`, pinned from the generator that numbered every tree
+# as it built it
+VERIFY_ALL_SHA256 = "25b8d13928649a3ba35d1d23700d105bf877341a12401b2e9a3a84e722d4581c"
+
+
+def test_table_path_numbers_no_tree(capsys, monkeypatch):
+    def refuse(serial):
+        raise AssertionError("tree %s was numbered" % serial)
+    monkeypatch.setattr(strata, "_numbering", refuse)
+    strata.strata_table.cache_clear()  # drop trees numbered by earlier tests
+    code, out, _ = run_cli(capsys, "verify", "all")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256
+    for fmt, digest in STRATA_N7_Q9_SHA256.items():
+        code, out, _ = run_cli(capsys, "strata", "--n", "7", "--q", "9", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+
 # sha256 of stdout of every other command in each format it accepts, and of
 # strata without --q, pinned from the hand-written renderers that the shared
 # table renderers replaced

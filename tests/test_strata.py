@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -117,6 +118,23 @@ def test_census_matches_table():
         assert dict(stratum_census(n)) == rows
 
 
+@cache
+def _product_of_open_polys(valences):
+    poly = (1,)
+    for v in valences:
+        poly = poly_mul(poly, open_stratum_poly(v))
+    return poly
+
+
+def test_table_polys_match_tree_valences():
+    # the table takes each count polynomial from the valences the generator
+    # carries; here it is rebuilt from the numbered tree's own valences
+    for n in range(3, 9):
+        for row in strata_table(n):
+            assert row.count_poly == _product_of_open_polys(tuple(sorted(row.tree.valences())))
+            assert row.edge_count == len(row.tree.edges)
+
+
 def test_census_sizes_are_schroeder():
     # A000311 by T(m) = sum_{s<m} C(m-1, s-1) T(s) F(m-s), where F(0) = F(1) = 1
     # and F(m) = 2 T(m) for m >= 2; there are T(n-1) strata with n legs
@@ -194,6 +212,45 @@ def test_dual_tree_serial_is_not_compared():
     assert bare == made and hash(bare) == hash(made)
     assert tree_serial(bare) == "(1,2,3;)"
     assert not hasattr(bare, "__dict__")
+
+
+def test_dual_tree_contract_survives_lazy_numbering():
+    # an uncached run of the generator gives trees whose structure was never
+    # read; each check runs first on some of them, then again after edges
+    # has been read
+    def check(name, tree, known):
+        made = make_tree(known.vertex_count, known.edges, dict(enumerate(known.legs, start=1)))
+        bare = DualTree(known.vertex_count, known.edges, known.legs)
+        if name == "hash":
+            assert hash(tree) == hash(made) == hash(bare)
+        elif name == "eq":
+            assert tree == made == bare and made == tree and bare == tree
+            assert made.serial == tree.serial == known.serial and bare.serial == ""
+            assert pickle.loads(pickle.dumps(tree)) == known
+        else:
+            assert repr(tree) == "DualTree(vertex_count=%r, edges=%r, legs=%r, serial=%r)" % (
+                known.vertex_count, known.edges, known.legs, known.serial)
+
+    names = ("hash", "eq", "repr")
+    for n in (5, 6, 7):
+        for first in names:
+            fresh = [row.tree for row in strata_table.__wrapped__(n)]
+            for tree, known in zip(fresh, enumerate_stable_trees(n), strict=True):
+                if first == "hash":
+                    for field in ("vertex_count", "edges", "legs", "serial"):
+                        with pytest.raises(AttributeError):
+                            setattr(tree, field, None)
+                    # CPython 3.11's slotted frozen dataclasses raise TypeError
+                    # for a name that is not a field
+                    with pytest.raises((AttributeError, TypeError)):
+                        tree.other = None
+                    assert not hasattr(tree, "__dict__")
+                for name in (first,) + names:
+                    check(name, tree, known)
+                edges, legs = tree.edges, tree.legs
+                for name in names:
+                    check(name, tree, known)
+                assert tree.edges is edges and tree.legs is legs  # numbered once, then kept
 
 
 def test_enumeration_counts_small():
