@@ -10,7 +10,6 @@ from .algebra import (
     InexactDivisionError,
     IntPoly,
     RatPoly,
-    Series,
     intpoly,
     poly_add,
     poly_eval,
@@ -35,7 +34,7 @@ from .getzler import (
     series_g,
     verify_inverse,
 )
-from .keel import BettiTable, betti, point_count, poincare_poly, verify_count_recurrence
+from .keel import betti, point_count, poincare_poly, verify_count_recurrence
 from .report import VerificationReport, all_pass
 from .strata import (
     DualTree,
@@ -61,7 +60,6 @@ from .zeta import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BettiTable",
     "BiSeries",
     "DualTree",
     "FactoredZeta",
@@ -70,7 +68,6 @@ __all__ = [
     "InexactDivisionError",
     "IntPoly",
     "RatPoly",
-    "Series",
     "StratumInfo",
     "VerificationReport",
     "all_pass",

@@ -7,10 +7,10 @@ mathematical equality.  Coefficients are Python ints (IntPoly) or
 fractions.Fraction objects (RatPoly); all arithmetic is exact and there is
 no floating point anywhere in the package.
 
-Truncated power series carry an explicit truncation order (exclusive) and
-retain trailing zeros: a Series has rational coefficients, a BiSeries has
-RatPoly coefficients, i.e. it is a series in x whose coefficients are
-polynomials in a second indeterminate s.
+A truncated power series (BiSeries) carries an explicit truncation order
+(exclusive) and retains trailing zeros; its coefficients are RatPoly, i.e. it
+is a series in x whose coefficients are polynomials in a second
+indeterminate s.
 """
 
 from __future__ import annotations
@@ -169,28 +169,6 @@ def poly_str(p, var: str = "s", power_scale: int = 1,
 
 # ---------------------------------------------------------------------------
 # truncated series
-
-@dataclass(frozen=True)
-class Series:
-    """Power series in one variable, truncated at `order` (exclusive).
-
-    coeffs always has length == order; trailing zeros are kept because the
-    truncation order is explicit state, not an artifact of storage.
-    """
-    order: int
-    coeffs: tuple
-
-    def __post_init__(self):
-        coeffs = tuple(Fraction(c) for c in self.coeffs)
-        if self.order < 0:
-            raise ValueError("truncation order must be >= 0")
-        if len(coeffs) != self.order:
-            raise ValueError(
-                "series wants exactly %d coefficients, got %d"
-                % (self.order, len(coeffs))
-            )
-        object.__setattr__(self, "coeffs", coeffs)
-
 
 @dataclass(frozen=True)
 class BiSeries:

@@ -33,7 +33,7 @@ from .report import make_report
 FORMATS = ("plain", "json", "csv", "latex")
 VERIFY_TARGETS = ("recurrence", "strata", "forget", "getzler", "zeta", "all")
 DEFAULT_Q = (2, 3, 4, 5, 7, 8, 9, 11)
-SERIES_ORDER_GUARD = 10
+SERIES_ORDER_GUARD = 25
 
 
 def _json_text(obj) -> str:
@@ -188,7 +188,7 @@ def cmd_zeta(args):
         _require_order(args.order, 1)
     z = zeta.zeta_moduli(args.n, args.p)
     # the point counts over F_{p^r} for r = 1..order
-    counts = [] if args.order is None else zeta.log_derivative_series(z, args.order).coeffs[1:]
+    counts = [] if args.order is None else zeta.log_derivative_series(z, args.order)[1:]
     if args.format == "json":
         payload = {"n": args.n, **zeta.zeta_record(z)}
         if counts:

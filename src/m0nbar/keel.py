@@ -8,7 +8,9 @@ the Poincare polynomials P_n(s) = sum_k a_k(n) s^k satisfy
     P_3 = 1,
     P_{n+1} = (1 + s) P_n + (s/2) * sum_{j=2}^{n-2} C(n,j) P_{j+1} P_{n-j+1},
 
-and |Mbar_{0,n}(F_q)| = P_n(q) for every prime power q.
+and |Mbar_{0,n}(F_q)| = P_n(q) for every prime power q.  Rows are built
+once, bottom-up, into one module-level dict; poincare_poly returns the
+stored tuple and betti reads it.
 """
 
 from __future__ import annotations
@@ -21,67 +23,47 @@ from .report import make_report
 KEEL_MAX_N = 175  # rows up to n = 175 build cold in about 8 s; the cost grows about as n^4
 
 
-class BettiTable:
-    """Memoized table of the numbers a_k(n) = b_{2k}(Mbar_{0,n}).
-
-    Rows are built bottom-up and never mutated afterwards, so a populated
-    table can be shared across threads; row n is the coefficient tuple
-    (a_0(n), ..., a_{n-3}(n)).
-    """
-
-    def __init__(self):
-        self._rows = {3: (1,)}
-        self._max = 3
-
-    def ensure(self, n: int) -> None:
-        if n < 3:
-            raise ValueError("n must be >= 3")
-        if n > KEEL_MAX_N:
-            raise ValueError("n = %d exceeds the Keel row bound (%d)" % (n, KEEL_MAX_N))
-        rows = self._rows
-        while self._max < n:
-            m = self._max
-            # row m+1 has degree m-2; (1 + s) P_m goes in first
-            acc = [0] * (m - 1)
-            for i, c in enumerate(rows[m]):
-                acc[i] += c
-                acc[i + 1] += c
-            # Terms j and m-j of the double sum are equal, so the half-sum is
-            # the terms j < m/2 plus, for even m, half the middle term, whose
-            # weight C(m, m/2) / 2 is C(m-1, m/2-1).  The factor s shifts
-            # every product one place up.
-            for j in range(2, m // 2 + 1):
-                weight = comb(m - 1, j - 1) if 2 * j == m else comb(m, j)
-                longer = rows[m - j + 1]
-                for i, c in enumerate(rows[j + 1], 1):
-                    c *= weight
-                    for k, d in enumerate(longer, i):
-                        acc[k] += c * d
-            rows[m + 1] = tuple(acc)
-            self._max = m + 1
-
-    def row(self, n: int) -> IntPoly:
-        self.ensure(n)
-        return self._rows[n]
-
-    def betti(self, n: int, k: int) -> int:
-        row = self.row(n)
-        if k < 0 or k >= len(row):
-            return 0
-        return row[k]
-
-
-_TABLE = BettiTable()
+# Row n is the coefficient tuple (a_0(n), ..., a_{n-3}(n)) of P_n.  Rows are
+# built bottom-up, so the keys are 3 up to the largest row built, and a row
+# is never mutated once stored.
+_ROWS = {3: (1,)}
 
 
 def betti(n: int, k: int) -> int:
     """a_k(n) = b_{2k}(Mbar_{0,n}); zero outside 0 <= k <= n-3."""
-    return _TABLE.betti(n, k)
+    row = poincare_poly(n)
+    return row[k] if 0 <= k < len(row) else 0
 
 
 def poincare_poly(n: int) -> IntPoly:
     """P_n as a polynomial in s = t^2; degree is exactly n-3."""
-    return _TABLE.row(n)
+    row = _ROWS.get(n)
+    if row is not None:
+        return row
+    if n < 3:
+        raise ValueError("n must be >= 3")
+    if n > KEEL_MAX_N:
+        raise ValueError("n = %d exceeds the Keel row bound (%d)" % (n, KEEL_MAX_N))
+    rows = _ROWS
+    for m in range(len(rows) + 2, n):
+        # row m+1 has degree m-2; (1 + s) P_m goes in first
+        acc = [0] * (m - 1)
+        for i, c in enumerate(rows[m]):
+            acc[i] += c
+            acc[i + 1] += c
+        # Terms j and m-j of the double sum are equal, so the half-sum is
+        # the terms j < m/2 plus, for even m, half the middle term, whose
+        # weight C(m, m/2) / 2 is C(m-1, m/2-1).  The factor s shifts
+        # every product one place up.
+        for j in range(2, m // 2 + 1):
+            weight = comb(m - 1, j - 1) if 2 * j == m else comb(m, j)
+            longer = rows[m - j + 1]
+            for i, c in enumerate(rows[j + 1], 1):
+                c *= weight
+                for k, d in enumerate(longer, i):
+                    acc[k] += c * d
+        rows[m + 1] = tuple(acc)
+    return rows[n]
 
 
 def point_count(n: int, q: int) -> int:

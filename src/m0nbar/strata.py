@@ -47,7 +47,7 @@ from operator import attrgetter, itemgetter
 from .algebra import IntPoly, is_prime, poly_eval, poly_mul, require_prime_power
 
 ORBIT_GUARD_MAX_Q = 7   # (q+1)!/(q+1-n)! canonicalizations; 8!/1 worst case
-CENSUS_MAX_N = 10       # cold, the census takes 1-4 ms at n = 10 and 0.4 s at n = 20
+CENSUS_MAX_N = 20       # cold, the census takes 0.4 s and 17 MB at n = 20, 1.1-1.4 s at n = 22
 ENUMERATION_MAX_N = 9   # cold strata_table: 660032 trees in 6.8 s and 180 MB; n = 10 has 12818912
 
 
@@ -306,11 +306,11 @@ def _centres(n: int):
                         yield min(_node(x[1], x[2] + [y]), _node(y[1], y[2] + [x]))
 
 
-@lru_cache(maxsize=None)
 def enumerate_stable_trees(n: int) -> tuple:
     """Every isomorphism class of stable dual tree with legs 1..n, once each.
 
     Deterministic order: by vertex count, then by canonical serialization.
+    The trees are those of strata_table(n), whose cache keeps them.
     """
     return tuple(row.tree for row in strata_table(n))
 
@@ -366,7 +366,6 @@ def open_stratum_poly(m: int) -> IntPoly:
     return poly
 
 
-@lru_cache(maxsize=None)
 def _count_poly(valences: tuple) -> IntPoly:
     """Point count of a stratum with this sorted valence tuple."""
     return reduce(poly_mul, map(open_stratum_poly, valences), (1,))

@@ -8,15 +8,15 @@ of factors (1 - p^j T)^(-e_j) with e_j = b_{2j}, and
     sum_{r>=1} |V(F_{p^r})| T^r = T d/dT log Z(T)
                                 = sum_{r>=1} (sum_j e_j p^{jr}) T^r.
 
-Zeta functions stay factored; expanding them buys nothing here.
+Zeta functions stay factored; expanding them buys nothing here, and the
+point-count series is a tuple of exact ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .algebra import Series, require_prime
+from .algebra import require_prime
 from .keel import betti, point_count
 from .report import make_report
 
@@ -53,17 +53,14 @@ def zeta_moduli(n: int, p: int) -> FactoredZeta:
     return FactoredZeta(p, tuple((j, betti(n, j)) for j in range(n - 2)))
 
 
-def log_derivative_series(z: FactoredZeta, order: int) -> Series:
+def log_derivative_series(z: FactoredZeta, order: int) -> tuple:
     """T d/dT log Z(T) through T^order, i.e. the point-count generating series.
 
-    From the factored form the T^r coefficient is sum_j e_j p^{jr}.
+    Index r holds the T^r coefficient sum_j e_j p^{jr}, an int; index 0 is 0.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    coeffs = [Fraction(0)]
-    for r in range(1, order + 1):
-        coeffs.append(Fraction(sum(e * z.p ** (j * r) for j, e in z.factors)))
-    return Series(order + 1, tuple(coeffs))
+    return (0, *(sum(e * z.p ** (j * r) for j, e in z.factors) for r in range(1, order + 1)))
 
 
 def verify_zeta_counts(n: int, p: int, order: int) -> list:
@@ -75,7 +72,7 @@ def verify_zeta_counts(n: int, p: int, order: int) -> list:
             make_report(
                 "zeta-log-derivative",
                 {"n": n, "p": p, "r": r},
-                series.coeffs[r],
+                series[r],
                 point_count(n, p ** r),
             )
         )

@@ -114,7 +114,7 @@ def test_zeta_log_derivative_identity():
         for p in (2, 3):
             series = log_derivative_series(zeta_moduli(n, p), 6)
             for r in range(1, 7):
-                assert series.coeffs[r] == point_count(n, p ** r), (n, p, r)
+                assert series[r] == point_count(n, p ** r), (n, p, r)
     _finish("zeta-log-derivative", t0, 1.0)
 
 

@@ -261,8 +261,8 @@ def test_verify_arguments_are_checked_before_the_first_report(capsys, monkeypatc
     for argv, message in (
         (("zeta", "--q", "4"), "p = 4 = 2^2 is not prime"),
         (("all", "--q", "2,6"), "q = 6 = 2 * 3 is not a prime power"),
-        (("all", "--order", "1"), "order must be between 2 and 10"),
-        (("all", "--order", "11"), "order must be between 1 and 10"),
+        (("all", "--order", "1"), "order must be between 2 and 25"),
+        (("all", "--order", "26"), "order must be between 1 and 25"),
         (("recurrence", "--max-n", "3"), "max-n must be >= 4"),
         (("recurrence", "--max-n", str(keel.KEEL_MAX_N + 1)),
          "max-n %d exceeds the Keel row bound (%d)" % (keel.KEEL_MAX_N + 1, keel.KEEL_MAX_N)),
@@ -293,9 +293,9 @@ def test_zeta_order_is_checked_before_the_series(capsys, monkeypatch):
         raise AssertionError("the zeta function was computed before --order was checked")
 
     monkeypatch.setattr(zeta, "zeta_moduli", refuse)
-    for order in ("0", "11", "20000"):
+    for order in ("0", "26", "20000"):
         code, out, err = run_cli(capsys, "zeta", "--n", "5", "--p", "2", "--order", order)
-        assert (code, out, err) == (2, "", "error: order must be between 1 and 10\n"), order
+        assert (code, out, err) == (2, "", "error: order must be between 1 and 25\n"), order
 
 
 def test_keel_row_bound(capsys):
@@ -338,9 +338,9 @@ def test_getzler_json(capsys):
 
 
 def test_getzler_order_guard(capsys):
-    code, _, err = run_cli(capsys, "getzler", "--order", "11")
+    code, _, err = run_cli(capsys, "getzler", "--order", "26")
     assert code == 2
-    assert "order" in err
+    assert err == "error: order must be between 2 and 25\n"
 
 
 def test_verify_recurrence(capsys):
@@ -367,10 +367,14 @@ def test_verify_census_guard(capsys):
     assert out.splitlines()[-1] == "PASS: all 17 identities hold"
     code, out, _ = run_cli(capsys, "verify", "forget", "--max-n", "8", "--q", "2")
     assert code == 0
-    for target, max_n in (("strata", "11"), ("forget", "10"), ("all", "11")):
+    # the census answers n = 20 in well under a second, so the guard sits there
+    code, out, _ = run_cli(capsys, "verify", "strata", "--max-n", "20", "--q", "2,1009")
+    assert code == 0
+    assert out.splitlines()[-1] == "PASS: all 37 identities hold"  # 36 cross-oracle, 1 orbit-oracle
+    for target, max_n in (("strata", "21"), ("forget", "20"), ("all", "21")):
         code, _, err = run_cli(capsys, "verify", target, "--max-n", max_n)
         assert code == 2
-        assert "beyond its guard (10)" in err
+        assert "beyond its guard (20)" in err
 
 
 def test_verify_getzler(capsys):
@@ -420,10 +424,10 @@ def test_verify_bad_inputs(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "verify", "nonsense")
     assert code == 2
-    code, _, err = run_cli(capsys, "verify", "strata", "--max-n", "11")
+    code, _, err = run_cli(capsys, "verify", "strata", "--max-n", "21")
     assert code == 2
     assert "guard" in err
-    code, _, err = run_cli(capsys, "verify", "getzler", "--order", "12")
+    code, _, err = run_cli(capsys, "verify", "getzler", "--order", "26")
     assert code == 2
     code, _, err = run_cli(capsys, "verify", "strata", "--q", ",")
     assert (code, err) == (2, "error: empty q list\n")

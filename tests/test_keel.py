@@ -4,10 +4,10 @@ from math import comb
 
 import pytest
 
+from m0nbar import keel
 from m0nbar.algebra import poly_add, poly_mul, poly_scale
 from m0nbar.keel import (
     KEEL_MAX_N,
-    BettiTable,
     betti,
     glued_pair_count,
     point_count,
@@ -103,24 +103,25 @@ def test_count_recurrence():
         verify_count_recurrence(5, 10)
 
 
-def test_fresh_table_is_independent_of_module_state():
-    table = BettiTable()
-    table.ensure(7)
-    assert table.row(7) == (1, 42, 127, 42, 1)
-    assert table.betti(7, 9) == 0
+def test_row_seven_and_betti_outside_the_row():
+    assert poincare_poly(7) == (1, 42, 127, 42, 1)
+    assert betti(7, 4) == 1
+    assert betti(7, 5) == 0
+    assert betti(7, 9) == 0
     with pytest.raises(ValueError):
-        table.ensure(2)
+        poincare_poly(2)
 
 
 def test_rows_beyond_the_bound_are_refused_before_any_is_built():
     # the rows test_rows_digest_pinned covers stay inside the bound
     assert KEEL_MAX_N >= 150
-    table = BettiTable()
+    built = len(keel._ROWS)
     start = time.perf_counter()
     with pytest.raises(ValueError, match=r"Keel row bound \(%d\)" % KEEL_MAX_N):
-        table.ensure(KEEL_MAX_N + 1)
+        poincare_poly(KEEL_MAX_N + 1)
     assert time.perf_counter() - start < 0.01
-    assert table.row(4) == (1, 1)
+    assert len(keel._ROWS) == built
+    assert poincare_poly(4) == (1, 1)
 
 
 # sha256 of the rows P_3 .. P_150, one comma-separated line per row, pinned
@@ -149,9 +150,9 @@ def _unpaired_rows(n_max):
 
 
 def test_paired_kernel_matches_unpaired_sum():
-    table = BettiTable()
     for n, row in _unpaired_rows(40).items():
-        assert table.row(n) == row, n
+        assert poincare_poly(n) == row, n
+        assert [betti(n, k) for k in range(n - 2)] == list(row), n
 
 
 def test_glued_pair_count_is_half_the_unpaired_sum():

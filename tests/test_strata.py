@@ -143,15 +143,15 @@ def test_census_sizes_are_schroeder():
         f = [1, 1] + [2 * t for t in schroeder[2:]]
         schroeder.append(sum(comb(m - 1, s - 1) * schroeder[s] * f[m - s] for s in range(1, m)))
     assert {n: schroeder[n - 1] for n in SCHROEDER} == SCHROEDER
-    trees_before = enumerate_stable_trees.cache_info()
+    tables_before = strata_table.cache_info()
     for n in range(3, CENSUS_MAX_N + 1):
         assert sum(mult for _, mult in stratum_census(n)) == schroeder[n - 1], n
-    # the census enumerates no trees, so n = 9 and 10 are answered without them
-    assert enumerate_stable_trees.cache_info() == trees_before
+    # the census builds no tree, so n = 10 to 20 are answered without them
+    assert strata_table.cache_info() == tables_before
     with pytest.raises(ValueError):
         stratum_census(2)
-    with pytest.raises(ValueError, match="census guard"):
-        stratum_census(11)
+    with pytest.raises(ValueError, match=r"census guard \(%d\)" % CENSUS_MAX_N):
+        stratum_census(CENSUS_MAX_N + 1)
 
 
 def _set_partitions(labels):
@@ -180,7 +180,8 @@ def _valences_by_set_partitions(k):
 
 
 def test_census_matches_set_partition_walk():
-    for n in range(3, CENSUS_MAX_N + 1):
+    # the walk costs Bell(n - 1) set partitions, so it stops at n = 10
+    for n in range(3, 11):
         census = Counter()
         for valences, mult in _valences_by_set_partitions(n - 1).items():
             poly = (1,)
@@ -287,6 +288,15 @@ def test_enumeration_is_duplicate_free_and_stable():
 def test_enumeration_rejects_small_n():
     with pytest.raises(ValueError):
         enumerate_stable_trees(2)
+
+
+def test_enumeration_returns_the_table_trees():
+    # strata_table is the one cache of trees; the enumeration reads its rows
+    for n in range(3, 8):
+        trees, rows = enumerate_stable_trees(n), strata_table(n)
+        assert len(trees) == len(rows)
+        assert all(tree is row.tree for tree, row in zip(trees, rows))
+    assert not hasattr(enumerate_stable_trees, "cache_info")
 
 
 def test_enumeration_bound_is_in_the_library(monkeypatch):
