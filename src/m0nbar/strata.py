@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from functools import lru_cache, reduce
 from math import factorial, prod
 from operator import attrgetter, itemgetter
@@ -51,6 +51,25 @@ CENSUS_MAX_N = 20       # cold, the census takes 0.4 s and 17 MB at n = 20, 1.1-
 ENUMERATION_MAX_N = 9   # cold strata_table: 660032 trees in 6.8 s and 180 MB; n = 10 has 12818912
 
 
+def _frozen(cls):
+    """Refuse every assignment and deletion on a slotted frozen dataclass.
+
+    On CPython 3.11, dataclass(frozen=True, slots=True) builds a new class
+    but its __setattr__ and __delattr__ still name the old one, so a name
+    that is not a field would raise TypeError from super().  Here every
+    name raises FrozenInstanceError, which is an AttributeError.
+    """
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError("cannot delete field %r" % name)
+
+    cls.__setattr__, cls.__delattr__ = __setattr__, __delattr__
+    return cls
+
+
+@_frozen
 @dataclass(frozen=True, slots=True, init=False)
 class DualTree:
     """Combinatorial type of a stable genus-zero curve, in canonical numbering.
@@ -100,6 +119,7 @@ class DualTree:
         return tuple(val)
 
 
+@_frozen
 @dataclass(frozen=True, slots=True)
 class StratumInfo:
     """One stratum row: its tree, point-count polynomial in q, and k(rho)."""

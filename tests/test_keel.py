@@ -54,6 +54,11 @@ def test_palindromicity():
     for n in range(3, 13):
         row = poincare_poly(n)
         assert row == row[::-1]
+    # poincare_poly mirrors the lower half of each row, so its rows are
+    # palindromic by construction; the unpaired reference mirrors nothing
+    for n, row in _unpaired_rows(40).items():
+        assert len(row) == n - 2, n
+        assert row == row[::-1], n
 
 
 def test_invalid_n():
