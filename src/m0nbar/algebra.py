@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, log2
+from math import comb, factorial, isqrt, lcm, log2
 
 # Polynomials are coefficient tuples in canonical form; IntPoly carries ints,
 # RatPoly carries Fractions.  The arithmetic below is generic over both.
@@ -196,17 +196,12 @@ def biseries_x(order: int) -> BiSeries:
     return BiSeries(order, coeffs)
 
 
-def _bimul(a, b, order):
-    # truncated product of coefficient lists (RatPoly entries)
-    out = [()] * order
-    for i, ca in enumerate(a):
-        if not ca:
-            continue
-        for j in range(order - i):
-            cb = b[j]
-            if cb:
-                out[i + j] = poly_add(out[i + j], poly_mul(ca, cb))
-    return out
+def _cleared_egf(coeffs) -> tuple:
+    """(ints, d): the exponential coefficients n! * coeffs[n], each times one
+    common integer d that clears every denominator, as integer polynomials."""
+    scaled = [[Fraction(c) * factorial(n) for c in poly] for n, poly in enumerate(coeffs)]
+    d = lcm(1, *(c.denominator for poly in scaled for c in poly))
+    return [tuple(c.numerator * (d // c.denominator) for c in poly) for poly in scaled], d
 
 
 def series_compose(f: BiSeries, g: BiSeries) -> BiSeries:
@@ -215,6 +210,29 @@ def series_compose(f: BiSeries, g: BiSeries) -> BiSeries:
     g must have zero constant term (otherwise the substitution is not
     defined as a truncated series), and mixing two truncation orders is an
     error rather than a silent truncation.
+
+    The kernel is Faa di Bruno's formula in exponential form (Comtet,
+    Advanced Combinatorics, ch. 3).  With F_k = k! f_k and G_j = j! g_j,
+
+        m! [x^m] f(g) = sum_k F_k B_{m,k}(G),
+
+    where the partial Bell polynomial B_{m,k} sums prod G_|block| over the
+    partitions of m labels into k blocks.  Split off the block that holds
+    the last label:
+
+        B_{m,k} = sum_j C(m-1, j-1) G_j B_{m-j,k-1}.
+
+    All of it runs in integers.  F and G are cleared of denominators by one
+    integer each, df and dg, so B_{m,k}(G) = B_{m,k}(dg G) / dg^k and
+
+        m! df dg^m [x^m] f(g) = sum_k (df F_k) B_{m,k}(dg G) dg^(m-k),
+
+    which is divided back into Fractions once per output coefficient.  Each
+    integer polynomial in s is carried as its value at s = 2^width
+    (Kronecker substitution), so a product of polynomials is one product of
+    ints.  The same sums over the coefficients' absolute values at s = 1
+    bound every output coefficient, and width leaves room for that bound
+    and a sign, so each coefficient is read back from its slot exactly.
     """
     if f.order != g.order:
         raise ValueError(
@@ -226,17 +244,41 @@ def series_compose(f: BiSeries, g: BiSeries) -> BiSeries:
         return BiSeries(0, ())
     if g.coeffs[0] != ():
         raise ValueError("composition needs a zero constant term in g")
-    out = [()] * order
-    out[0] = f.coeffs[0]
-    gpow = list(g.coeffs)    # running power of g, starts at g^1
-    for n in range(1, order):
-        fn = f.coeffs[n]
-        if fn:
-            for m in range(n, order):
-                if gpow[m]:
-                    out[m] = poly_add(out[m], poly_mul(fn, gpow[m]))
-        if n + 1 < order:
-            gpow = _bimul(gpow, g.coeffs, order)
+    fs, df = _cleared_egf(f.coeffs)
+    gs, dg = _cleared_egf(g.coeffs)
+
+    def bell_sums(fv, gv):
+        # sum_k fv[k] B_{m,k}(gv) dg^(m-k) for m = 1 .. order-1
+        bell = [[1]]                # bell[m][k] = B_{m,k}; B_{0,0} = 1
+        sums = []
+        for m in range(1, order):
+            weighted = [0] + [comb(m - 1, j - 1) * gv[j] for j in range(1, m + 1)]
+            row = [0]               # B_{m,0} = 0 for m >= 1
+            total = 0
+            for k in range(1, m + 1):
+                b = sum(weighted[j] * bell[m - j][k - 1] for j in range(1, m - k + 2))
+                row.append(b)
+                total += fv[k] * b * dg ** (m - k)
+            bell.append(row)
+            sums.append(total)
+        return sums
+
+    norms = bell_sums([sum(map(abs, p)) for p in fs], [sum(map(abs, p)) for p in gs])
+    width = max(norms, default=0).bit_length() + 1
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    packed = bell_sums([sum(c << (width * i) for i, c in enumerate(p)) for p in fs],
+                       [sum(c << (width * i) for i, c in enumerate(p)) for p in gs])
+    out = [f.coeffs[0]]
+    for m, value in enumerate(packed, 1):
+        coeffs = []
+        while value:
+            c = value & mask
+            if c >= half:
+                c -= 1 << width
+            coeffs.append(c)
+            value = (value - c) >> width
+        den = factorial(m) * df * dg ** m
+        out.append(normalize(Fraction(c, den) for c in coeffs))
     return BiSeries(order, out)
 
 

@@ -52,12 +52,14 @@ def fiber_size_breakdown(tree: DualTree, q: int):
 
     Returns None (the empty-stratum marker) when some vertex valence
     exceeds q+1: such a component cannot hold its special points over F_q,
-    the stratum has no F_q-points, and no breakdown is meaningful.
+    the stratum has no F_q-points, and no breakdown is meaningful.  Each
+    edge at a vertex leads to at least two legs, so no valence exceeds n,
+    and for q + 1 >= n the valences are not read.
     """
     require_prime_power(q)
-    if max(tree.valences()) > q + 1:
-        return None
     n = tree.n_legs
+    if q + 1 < n and max(tree.valences()) > q + 1:
+        return None
     k = tree.edge_count
     same = (k + 1) * (q + 1) - n - 2 * k
     return FiberBreakdown(k, q, same, n, k, same + n + k)

@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -144,6 +145,53 @@ def test_compose_hand_example():
     f = BiSeries(4, [(), (), (1,), ()])
     g = BiSeries(4, [(), (1,), (1,), ()])
     assert series_compose(f, g) == BiSeries(4, [(), (), (1,), (2,)])
+
+
+def _compose_by_powers(f, g):
+    # the Fraction power loop series_compose used before its integer kernel,
+    # kept as an independent oracle: sum_n f_n g^n with g^n built by
+    # repeated truncated multiplication
+    order = f.order
+    if order == 0:
+        return BiSeries(0, ())
+    out = [()] * order
+    out[0] = f.coeffs[0]
+    gpow = list(g.coeffs)
+    for n in range(1, order):
+        if f.coeffs[n]:
+            for m in range(n, order):
+                out[m] = poly_add(out[m], poly_mul(f.coeffs[n], gpow[m]))
+        nxt = [()] * order
+        for i, ca in enumerate(gpow):
+            for j in range(order - i):
+                nxt[i + j] = poly_add(nxt[i + j], poly_mul(ca, g.coeffs[j]))
+        gpow = nxt
+    return BiSeries(order, out)
+
+
+def test_compose_matches_the_power_loop():
+    rng = random.Random(1302)
+    cases = []
+    for _ in range(150):
+        order = rng.randrange(0, 10)
+        f = [_random_poly(rng, rational=True) for _ in range(order)]
+        g = [()] + [_random_poly(rng, rational=True) for _ in range(order - 1)]
+        cases.append((BiSeries(order, f), BiSeries(order, g[:order])))
+    for order in range(1, 10):
+        zero = BiSeries(order, [()] * order)
+        # f has a nonzero constant term, and both are fractional after
+        # scaling x^n by n!
+        f = BiSeries(order, [ratpoly(Fraction(n + 1, 3 * factorial(n)), Fraction(-1, n + 2))
+                             for n in range(order)])
+        g = BiSeries(order, [()] + [ratpoly(Fraction(1, 2 * n + 1), Fraction(n, 5))
+                                    for n in range(1, order)])
+        cases += [(f, g), (g, g), (f, biseries_x(order)), (f, zero), (zero, g), (zero, zero)]
+    nonintegral = 0
+    for f, g in cases:
+        nonintegral += any((c * factorial(n)).denominator > 1
+                           for n, p in enumerate(g.coeffs) for c in p)
+        assert series_compose(f, g) == _compose_by_powers(f, g), (f, g)
+    assert nonintegral > 100
 
 
 def test_compose_rejects_bad_input():

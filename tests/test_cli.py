@@ -8,7 +8,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from m0nbar import keel, strata, zeta
+import pytest
+
+from m0nbar import getzler, keel, strata, zeta
 from m0nbar.cli import main
 from m0nbar.report import make_report
 
@@ -258,11 +260,13 @@ def test_verify_arguments_are_checked_before_the_first_report(capsys, monkeypatc
     monkeypatch.setattr(keel, "verify_count_recurrence", refuse)
     monkeypatch.setattr(strata, "stratified_count", refuse)
     monkeypatch.setattr(zeta, "verify_zeta_counts", refuse)
+    monkeypatch.setattr(getzler, "verify_inverse", refuse)
     for argv, message in (
         (("zeta", "--q", "4"), "p = 4 = 2^2 is not prime"),
         (("all", "--q", "2,6"), "q = 6 = 2 * 3 is not a prime power"),
-        (("all", "--order", "1"), "order must be between 2 and 25"),
-        (("all", "--order", "26"), "order must be between 1 and 25"),
+        (("all", "--order", "1"), "order must be between 2 and 55"),
+        (("all", "--order", "46"), "order must be between 1 and 45"),
+        (("getzler", "--order", "56"), "order must be between 2 and 55"),
         (("recurrence", "--max-n", "3"), "max-n must be >= 4"),
         (("recurrence", "--max-n", str(keel.KEEL_MAX_N + 1)),
          "max-n %d exceeds the Keel row bound (%d)" % (keel.KEEL_MAX_N + 1, keel.KEEL_MAX_N)),
@@ -293,9 +297,34 @@ def test_zeta_order_is_checked_before_the_series(capsys, monkeypatch):
         raise AssertionError("the zeta function was computed before --order was checked")
 
     monkeypatch.setattr(zeta, "zeta_moduli", refuse)
-    for order in ("0", "26", "20000"):
+    for order in ("0", "46", "20000"):
         code, out, err = run_cli(capsys, "zeta", "--n", "5", "--p", "2", "--order", order)
-        assert (code, out, err) == (2, "", "error: order must be between 1 and 25\n"), order
+        assert (code, out, err) == (2, "", "error: order must be between 1 and 45\n"), order
+
+
+def test_counts_beyond_the_int_printing_limit(capsys):
+    # str() refuses ints of more than sys.get_int_max_str_digits() digits;
+    # the T^10 count of n = 30 at p = 2^61 - 1 has 4970, and both commands
+    # print it, leaving the limit as it was
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this interpreter has no limit on printing an int")
+    p = 2**61 - 1
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(capsys, "zeta", "--n", "30", "--p", str(p), "--order", "10")
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    last = out.splitlines()[-1]
+    assert last.startswith("T^10 ") and len(last) - 5 > limit
+    sys.set_int_max_str_digits(0)
+    try:
+        assert int(last[5:]) == keel.point_count(30, p**10)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    code, out, err = run_cli(capsys, "verify", "zeta", "--max-n", "30", "--q", str(p),
+                             "--order", "10")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "PASS: all 280 identities hold"
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_keel_row_bound(capsys):
@@ -338,9 +367,9 @@ def test_getzler_json(capsys):
 
 
 def test_getzler_order_guard(capsys):
-    code, _, err = run_cli(capsys, "getzler", "--order", "26")
+    code, _, err = run_cli(capsys, "getzler", "--order", "56")
     assert code == 2
-    assert err == "error: order must be between 2 and 25\n"
+    assert err == "error: order must be between 2 and 55\n"
 
 
 def test_verify_recurrence(capsys):
@@ -427,7 +456,7 @@ def test_verify_bad_inputs(capsys):
     code, _, err = run_cli(capsys, "verify", "strata", "--max-n", "21")
     assert code == 2
     assert "guard" in err
-    code, _, err = run_cli(capsys, "verify", "getzler", "--order", "26")
+    code, _, err = run_cli(capsys, "verify", "getzler", "--order", "56")
     assert code == 2
     code, _, err = run_cli(capsys, "verify", "strata", "--q", ",")
     assert (code, err) == (2, "error: empty q list\n")

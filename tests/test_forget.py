@@ -140,3 +140,11 @@ def test_fiber_sum_reconstruction():
     for n in range(3, 8):
         for q in (2, 3, 4, 5, 7):
             assert verify_fiber_sum(n, q).passed
+
+
+def test_valences_never_exceed_n():
+    # each edge at a vertex leads to at least two legs, which is why
+    # fiber_size_breakdown reads no valence once q + 1 >= n;
+    # test_breakdown_every_small_tree compares it with the valence scan
+    for n in range(3, 9):
+        assert max(max(tree.valences()) for tree in enumerate_stable_trees(n)) == n
