@@ -17,6 +17,7 @@ import os
 import sys
 from collections import Counter
 from functools import reduce
+from math import log10
 
 from . import getzler, keel, strata, zeta
 from .algebra import (
@@ -39,6 +40,9 @@ DEFAULT_Q = (2, 3, 4, 5, 7, 8, 9, 11)
 # p = 1009 beyond the cost of the Keel row they read
 SERIES_ORDER_GUARD = 55
 ZETA_ORDER_GUARD = 45
+# most digits verify zeta may print, counting both sides of every report:
+# measured, 10^7 digits (about 10 MB) take 2.5-5 s with the Keel rows
+ZETA_DIGITS_BUDGET = 10**7
 
 
 def _json_text(obj) -> str:
@@ -262,10 +266,18 @@ def _verify_reports(target, max_n, qs, order):
         zeta_ps = tuple(filter(is_prime, zeta_ps))
     zeta_ps = zeta_ps or (2, 3)
     getzler_depth = order if order is not None else 8
+    zeta_top = max_n if max_n is not None else 6
     if "zeta" in runs:
         _require_order(zeta_depth, 1, ZETA_ORDER_GUARD)
         for p in zeta_ps:
             require_prime(p)
+        # each count is about its leading term p^(r (n-3)), printed twice:
+        # sum r (n-3) log10 p over r <= order, 3 <= n <= top and the primes
+        digits = (sum(map(log10, zeta_ps)) * zeta_depth * (zeta_depth + 1)
+                  * (zeta_top - 3) * (zeta_top - 2) / 2)
+        if digits > ZETA_DIGITS_BUDGET:
+            raise ValueError("verify zeta would print about %.3g digits, beyond its budget of %.0e"
+                             % (digits, ZETA_DIGITS_BUDGET))
     if "getzler" in runs:
         _require_order(getzler_depth, 2, SERIES_ORDER_GUARD)
 
@@ -297,9 +309,8 @@ def _verify_reports(target, max_n, qs, order):
                     reports.append(verify_lemma4(n, q))
                 reports.append(verify_fiber_sum(n, q))
     if "zeta" in runs:
-        top = max_n if max_n is not None else 6
         for p in zeta_ps:
-            for n in range(3, top + 1):
+            for n in range(3, zeta_top + 1):
                 reports.extend(zeta.verify_zeta_counts(n, p, zeta_depth))
     if "getzler" in runs:
         reports.extend(getzler.verify_inverse(getzler_depth))

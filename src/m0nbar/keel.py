@@ -10,10 +10,21 @@ the Poincare polynomials P_n(s) = sum_k a_k(n) s^k satisfy
 
 and |Mbar_{0,n}(F_q)| = P_n(q) for every prime power q.  Rows are built
 once, bottom-up, into one module-level dict; poincare_poly returns the
-stored tuple and betti reads it.  By Poincare duality every row is
-palindromic, a_k(n) = a_{n-3-k}(n), and the recurrence keeps that by
-induction, so only the coefficients up to the middle of each row are
-summed and the upper half is the lower half reversed.
+stored tuple and betti reads it.
+
+By Poincare duality every row is palindromic, a_k(n) = a_{n-3-k}(n), so
+it is a polynomial in u = s + 1/s: with h = (n-3)//2,
+
+    P_n = s^h R_n(u)            when n - 3 is even,
+    P_n = (1 + s) s^h R_n(u)    when n - 3 is odd,
+
+and R_n has h + 1 coefficients.  The recurrence is run on the R_n, whose
+products are a quarter of the full convolution: (1 + s) P_n becomes R_n,
+or (u + 2) R_n for odd n - 3 since (1 + s)^2 = s (u + 2), and each product
+P_{j+1} P_{n-j+1} becomes R_{j+1} R_{n-j+1}, times (u + 2) when both rows
+have odd degree.  Both forms are palindromic whatever R is, so the rows
+stay palindromic by construction; each is turned back into powers of s by
+Horner's rule in u on its lower half, which is then mirrored.
 """
 
 from __future__ import annotations
@@ -23,13 +34,32 @@ from math import comb
 from .algebra import IntPoly, poly_eval, require_prime_power
 from .report import make_report
 
-KEEL_MAX_N = 175  # rows up to n = 175 build cold in 3-5 s; the cost grows about as n^4
+KEEL_MAX_N = 175  # rows up to n = 175 build cold in 2-3 s; the cost grows about as n^4
 
 
 # Row n is the coefficient tuple (a_0(n), ..., a_{n-3}(n)) of P_n.  Rows are
 # built bottom-up, so the keys are 3 up to the largest row built, and a row
 # is never mutated once stored.
 _ROWS = {3: (1,)}
+# _U_ROWS[n] holds the coefficients of R_n in rising powers of u, built in
+# the same loop and with the same keys as _ROWS.
+_U_ROWS = {3: (1,)}
+
+
+def _in_powers_of_s(r, odd: bool) -> IntPoly:
+    """The row s^h R(u), or (1 + s) s^h R(u) if odd, as a tuple in s, where
+    R has the coefficients r and h + 1 = len(r)."""
+    # Horner's rule in u: w[d] is the coefficient of s^-d, which equals
+    # that of s^d, followed by two zeros; multiplying by s + 1/s sends
+    # w[d] to w[d-1] + w[d+1], and the centre to twice w[1]
+    w = [r[-1], 0, 0]
+    for c in r[-2::-1]:
+        w = [2 * w[1] + c] + [a + b for a, b in zip(w, w[2:])] + [0, 0]
+    low = w[-3::-1]  # a_0 .. a_h of s^h R(u)
+    if odd:
+        low = low[:1] + [a + b for a, b in zip(low, low[1:])]
+        return tuple(low + low[::-1])
+    return tuple(low + low[-2::-1])
 
 
 def betti(n: int, k: int) -> int:
@@ -47,28 +77,35 @@ def poincare_poly(n: int) -> IntPoly:
         raise ValueError("n must be >= 3")
     if n > KEEL_MAX_N:
         raise ValueError("n = %d exceeds the Keel row bound (%d)" % (n, KEEL_MAX_N))
-    rows = _ROWS
+    rows, us = _ROWS, _U_ROWS
     for m in range(len(rows) + 2, n):
-        # Row m+1 has degree m-2 and is palindromic, so only a_0 .. a_top
-        # are summed; (1 + s) P_m, cut to that range, goes in first.
-        top = (m - 2) // 2
-        prev = rows[m]
-        acc = [prev[0]] + [prev[k] + prev[k - 1] for k in range(1, top + 1)]
+        # R_{m+1} has m//2 coefficients.  For odd m, (1 + s) P_m adds R_m
+        # and no term of the double sum has two factors of odd degree.  For
+        # even m, (1 + s)^2 = s (u + 2), so R_m and the products of two odd
+        # rows (j and m-j odd) are summed apart and multiplied by (u + 2)
+        # once.
+        if m % 2:
+            acc, paired = list(us[m]), None
+        else:
+            acc, paired = [0] * (m // 2), list(us[m])
         # Terms j and m-j of the double sum are equal, so the half-sum is
         # the terms j < m/2 plus, for even m, half the middle term, whose
-        # weight C(m, m/2) / 2 is C(m-1, m/2-1).  The factor s shifts
-        # every product one place up, and a product landing above top is
-        # never formed.  The shorter row, shifted, ends at j-1 <= top.
+        # weight C(m, m/2) / 2 is C(m-1, m/2-1).  The factor s is absorbed
+        # by s^h, so each term is the full product R_{j+1} R_{m-j+1}.
         for j in range(2, m // 2 + 1):
             weight = comb(m - 1, j - 1) if 2 * j == m else comb(m, j)
-            longer = rows[m - j + 1]
-            for i, c in enumerate(rows[j + 1], 1):
+            target = paired if j % 2 and (m - j) % 2 else acc
+            longer = us[m - j + 1]
+            for i, c in enumerate(us[j + 1]):
                 c *= weight
-                for k, d in enumerate(longer[:top - i + 1], i):
-                    acc[k] += c * d
-        # a_k = a_{m-2-k}: the upper half is the lower half reversed,
-        # without repeating the middle coefficient when m-2 is even
-        rows[m + 1] = tuple(acc + acc[m - 3 - top::-1])
+                for k, d in enumerate(longer, i):
+                    target[k] += c * d
+        if paired is not None:
+            for k, d in enumerate(paired):
+                acc[k] += 2 * d
+                acc[k + 1] += d
+        us[m + 1] = tuple(acc)
+        rows[m + 1] = _in_powers_of_s(acc, m % 2 == 1)
     return rows[n]
 
 

@@ -57,10 +57,21 @@ def log_derivative_series(z: FactoredZeta, order: int) -> tuple:
     """T d/dT log Z(T) through T^order, i.e. the point-count generating series.
 
     Index r holds the T^r coefficient sum_j e_j p^{jr}, an int; index 0 is 0.
+    Each p^{jr} is the one before it, over the sorted j, times a power of
+    p^r.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    return (0, *(sum(e * z.p ** (j * r) for j, e in z.factors) for r in range(1, order + 1)))
+    series = [0]
+    for r in range(1, order + 1):
+        step = z.p ** r
+        total, power, at = 0, 1, 0
+        for j, e in z.factors:
+            power *= step ** (j - at)
+            at = j
+            total += e * power
+        series.append(total)
+    return tuple(series)
 
 
 def verify_zeta_counts(n: int, p: int, order: int) -> list:

@@ -327,6 +327,21 @@ def test_counts_beyond_the_int_printing_limit(capsys):
     assert sys.get_int_max_str_digits() == limit
 
 
+def test_verify_zeta_output_budget_is_checked_before_any_row(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a report was computed before the output size was checked")
+
+    monkeypatch.setattr(zeta, "verify_zeta_counts", refuse)
+    built = len(keel._ROWS)
+    p = str(2**61 - 1)
+    for max_n, order, digits in (("175", "25", "1.78e+08"), ("60", "20", "1.27e+07")):
+        code, out, err = run_cli(capsys, "verify", "zeta", "--max-n", max_n, "--q", p,
+                                 "--order", order)
+        assert (code, out, err) == (2, "", "error: verify zeta would print about %s digits, "
+                                           "beyond its budget of 1e+07\n" % digits)
+    assert len(keel._ROWS) == built
+
+
 def test_keel_row_bound(capsys):
     message = "error: n = 100000 exceeds the Keel row bound (%d)\n" % keel.KEEL_MAX_N
     for argv in (("poincare", "--n", "100000"), ("betti", "--n", "100000", "--k", "1"),

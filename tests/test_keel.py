@@ -54,8 +54,9 @@ def test_palindromicity():
     for n in range(3, 13):
         row = poincare_poly(n)
         assert row == row[::-1]
-    # poincare_poly mirrors the lower half of each row, so its rows are
-    # palindromic by construction; the unpaired reference mirrors nothing
+    # poincare_poly writes each row as s^h R(u) or (1 + s) s^h R(u) with
+    # u = s + 1/s, so its rows are palindromic by construction; the
+    # unpaired reference assumes no symmetry
     for n, row in _unpaired_rows(40).items():
         assert len(row) == n - 2, n
         assert row == row[::-1], n
@@ -158,6 +159,49 @@ def test_paired_kernel_matches_unpaired_sum():
     for n, row in _unpaired_rows(40).items():
         assert poincare_poly(n) == row, n
         assert [betti(n, k) for k in range(n - 2)] == list(row), n
+
+
+def _half_row_rows(n_max):
+    # the kernel that summed only the lower half of each row in powers of
+    # s and mirrored it, kept as an oracle for the kernel in u = s + 1/s
+    rows = {3: (1,)}
+    for m in range(3, n_max):
+        top = (m - 2) // 2
+        prev = rows[m]
+        acc = [prev[0]] + [prev[k] + prev[k - 1] for k in range(1, top + 1)]
+        for j in range(2, m // 2 + 1):
+            weight = comb(m - 1, j - 1) if 2 * j == m else comb(m, j)
+            longer = rows[m - j + 1]
+            for i, c in enumerate(rows[j + 1], 1):
+                c *= weight
+                for k, d in enumerate(longer[:top - i + 1], i):
+                    acc[k] += c * d
+        rows[m + 1] = tuple(acc + acc[m - 3 - top::-1])
+    return rows
+
+
+def test_kernel_in_u_matches_the_half_row_kernel():
+    for n, row in _half_row_rows(100).items():
+        assert poincare_poly(n) == row, n
+
+
+def test_rows_in_u_are_positive_and_expand_to_the_rows():
+    poincare_poly(60)
+    for n in range(3, 61):
+        r = keel._U_ROWS[n]
+        h = (n - 3) // 2
+        assert len(r) == h + 1, n
+        assert all(c > 0 for c in r), n
+        # s^h R(u) = sum_k r_k (1 + s^2)^k s^(h-k), expanded with poly_mul
+        row = ()
+        for k, c in enumerate(r):
+            term = (0,) * (h - k) + (c,)
+            for _ in range(k):
+                term = poly_mul(term, (1, 0, 1))
+            row = poly_add(row, term)
+        if (n - 3) % 2:
+            row = poly_mul((1, 1), row)
+        assert row == poincare_poly(n), n
 
 
 def test_glued_pair_count_is_half_the_unpaired_sum():

@@ -97,3 +97,14 @@ def test_log_derivative_is_a_tuple_of_exact_ints():
         assert type(series) is tuple and len(series) == order + 1
         assert series[0] == 0
         assert all(type(c) is int for c in series)
+
+
+def test_log_derivative_matches_the_power_of_each_term():
+    # every p^{jr} raised from scratch, as the series was first written
+    for n in range(3, 13):
+        for p in (2, 3, 5):
+            z = zeta_moduli(n, p)
+            for order in range(1, 9):
+                direct = (0, *(sum(e * p ** (j * r) for j, e in z.factors)
+                               for r in range(1, order + 1)))
+                assert log_derivative_series(z, order) == direct, (n, p, order)
