@@ -17,7 +17,8 @@ import os
 import sys
 from collections import Counter
 from functools import reduce
-from math import log10
+from math import comb, log10
+from operator import attrgetter, itemgetter
 
 from . import getzler, keel, strata, zeta
 from .algebra import (
@@ -69,7 +70,7 @@ def _plain_text(head, rows, right) -> str:
     numbered in right are right-aligned and the last one is not padded.
     head and the rows are tuples of strings."""
     table = [head, *rows]
-    widths = [max(len(row[i]) for row in table) for i in range(len(head) - 1)]
+    widths = [max(map(len, map(itemgetter(i), table))) for i in range(len(head) - 1)]
     specs = [("%%%ds" if i in right else "%%-%ds") % w for i, w in enumerate(widths)]
     line = "  ".join([*specs, "%s"])
     return "".join((line % row).rstrip() + "\n" for row in table)
@@ -140,7 +141,7 @@ def cmd_strata(args):
     if q is not None:
         require_prime_power(q)
     table = strata.strata_table(args.n)
-    kinds = Counter(row.count_poly for row in table)
+    kinds = Counter(map(attrgetter("count_poly"), table))
     total_poly = reduce(poly_add, (poly_scale(poly, mult) for poly, mult in kinds.items()))
     # each distinct count polynomial, the total's among them, is evaluated
     # and rendered once per call
@@ -154,7 +155,7 @@ def cmd_strata(args):
                  for p in kinds}
         records = [
             '    {\n      "tree": "%s",\n      "vertices": %d,\n      "edges": %d,\n%s\n    }'
-            % (strata.tree_serial(row.tree), row.tree.vertex_count, row.edge_count,
+            % (row.tree.serial, row.tree.vertex_count, row.edge_count,
                tails[row.count_poly])
             for row in table
         ]
@@ -171,19 +172,25 @@ def cmd_strata(args):
                 "count" if args.format == "csv" else "count(q=%s)" % q)
         tree_cell, poly_cell, total = "%s", "%s", "TOTAL"
     ncols = 4 if q is None else 5
+    head = head[:ncols]
     tails = {
         p: (poly_cell % poly_str(p, "q", descending=True, latex=latex), count)[:ncols - 3]
         for p, count in counts.items()
     }
+    if args.format == "plain" and q is not None:
+        # the last two cells depend only on the polynomial, so they are
+        # padded and joined as _plain_text would, once per polynomial
+        width = max(len(head[3]), *(len(cells[0]) for cells in tails.values()))
+        tails = {p: ("%-*s  %s" % (width, *cells),) for p, cells in tails.items()}
+        head = (*head[:3], "%-*s  %s" % (width, *head[3:]))
     # "%s" % s is s itself and "%d" % k is a shared string for a one-digit k
     # (str(k) makes a new one), so plain and csv rows add no strings: 5 MB at n = 8
     rows = [
-        (tree_cell % strata.tree_serial(row.tree), "%d" % row.tree.vertex_count,
+        (tree_cell % row.tree.serial, "%d" % row.tree.vertex_count,
          "%d" % row.edge_count, *tails[row.count_poly])
         for row in table
     ]
     rows.append((total, "", "", *tails[total_poly]))
-    head = head[:ncols]
     if args.format == "csv":
         return 0, _csv_text(head, rows)
     if latex:
@@ -243,6 +250,23 @@ def _parse_q_list(text) -> tuple:
     return values
 
 
+def _zeta_digits(ps, order: int, top: int) -> float:
+    """An upper bound on the digits verify zeta prints, both sides of every
+    report, for the primes ps, r <= order and 3 <= n <= top.
+
+    Every coefficient of P_n is positive, so P_n(p^r) <= P_n(1) p^(r (n-3))
+    has at most log10 P_n(1) + r (n-3) log10 p + 1 digits.  The P_n(1) come
+    from Keel's recurrence at s = 1 in integers, so no Keel row is built:
+    P_{m+1}(1) = 2 P_m(1) + (1/2) sum_{j=2}^{m-2} C(m,j) P_{j+1}(1) P_{m-j+1}(1).
+    """
+    sums = {3: 1}
+    for m in range(3, top):
+        pairs = sum(comb(m, j) * sums[j + 1] * sums[m - j + 1] for j in range(2, m - 1))
+        sums[m + 1] = 2 * sums[m] + pairs // 2
+    leading = sum(map(log10, ps)) * order * (order + 1) / 2 * (top - 3) * (top - 2) / 2
+    return 2 * (leading + len(ps) * order * sum(log10(e) + 1 for e in sums.values()))
+
+
 def _verify_reports(target, max_n, qs, order):
     runs = {name for name in VERIFY_TARGETS if target in (name, "all")}
     # refuse every bad argument before the first report is computed; strata
@@ -271,10 +295,7 @@ def _verify_reports(target, max_n, qs, order):
         _require_order(zeta_depth, 1, ZETA_ORDER_GUARD)
         for p in zeta_ps:
             require_prime(p)
-        # each count is about its leading term p^(r (n-3)), printed twice:
-        # sum r (n-3) log10 p over r <= order, 3 <= n <= top and the primes
-        digits = (sum(map(log10, zeta_ps)) * zeta_depth * (zeta_depth + 1)
-                  * (zeta_top - 3) * (zeta_top - 2) / 2)
+        digits = _zeta_digits(zeta_ps, zeta_depth, zeta_top)
         if digits > ZETA_DIGITS_BUDGET:
             raise ValueError("verify zeta would print about %.3g digits, beyond its budget of %.0e"
                              % (digits, ZETA_DIGITS_BUDGET))

@@ -287,15 +287,26 @@ def _branches(labels, height, memo) -> list:
     return memo[key]
 
 
+def _options(block, top, memo) -> tuple:
+    """(every node on the legs block of height at most top, a flag per node
+    that is true at height exactly top), built once per call of _centres.
+    Its memo key has three parts, so it never meets a key of _branches."""
+    key = block, top, None
+    if key not in memo:
+        option = [k for h in range(top + 1) for k in _branches(block, h, memo)]
+        memo[key] = option, [k[3] == top for k in option]
+    return memo[key]
+
+
 def _kid_choices(blocks, top, need, memo):
     """Each choice of one node on every block, all of height at most top and
     at least need of them of height exactly top."""
-    options = [[k for h in range(top + 1) for k in _branches(b, h, memo)] for b in blocks]
+    options = [_options(b, top, memo) for b in blocks]
     # a second product, in step with the first, flags the kids at height top,
     # so choosing costs no Python bytecode per choice
-    at_top = [[k[3] == top for k in option] for option in options]
-    return itertools.compress(itertools.product(*options),
-                              map(need.__le__, map(sum, itertools.product(*at_top))))
+    return itertools.compress(itertools.product(*[kids for kids, _ in options]),
+                              map(need.__le__, map(sum, itertools.product(
+                                  *[at_top for _, at_top in options]))))
 
 
 def _centres(n: int):
@@ -399,6 +410,28 @@ def _centred_poly(valences: tuple) -> IntPoly:
     return _count_poly(tuple(sorted((valences[0] - 1,) + valences[1:])))
 
 
+# a class with a Python __init__ is called through a generic slot, about
+# 1 us per row at n = 8, so table rows fill their slots directly
+_set_vertex_count, _set_serial = DualTree.vertex_count.__set__, DualTree.serial.__set__
+_set_tree, _set_count_poly, _set_edge_count = (
+    StratumInfo.tree.__set__, StratumInfo.count_poly.__set__, StratumInfo.edge_count.__set__)
+
+
+def _table_row(serial: str, valences: tuple) -> StratumInfo:
+    """StratumInfo(DualTree(len(valences), None, None, serial), its count
+    polynomial, len(valences) - 1) for a centred node, built without
+    running either __init__; the tree's edges and legs stay unset, so it
+    numbers itself from its serial when they are first read."""
+    tree = object.__new__(DualTree)
+    _set_vertex_count(tree, len(valences))
+    _set_serial(tree, serial)
+    row = object.__new__(StratumInfo)
+    _set_tree(row, tree)
+    _set_count_poly(row, _centred_poly(valences))
+    _set_edge_count(row, len(valences) - 1)
+    return row
+
+
 @lru_cache(maxsize=None)
 def strata_table(n: int) -> tuple:
     """StratumInfo for every stable tree with n legs, in enumeration order.
@@ -411,8 +444,7 @@ def strata_table(n: int) -> tuple:
     if n > ENUMERATION_MAX_N:
         raise ValueError("n = %d exceeds the stratum enumeration bound (%d)"
                          % (n, ENUMERATION_MAX_N))
-    rows = [StratumInfo(DualTree(len(valences), None, None, serial), _centred_poly(valences),
-                        len(valences) - 1) for serial, _, _, _, valences in _centres(n)]
+    rows = [_table_row(serial, valences) for serial, _, _, _, valences in _centres(n)]
     # stable sorts on one key each, strings then ints, beat one sort on pairs
     rows.sort(key=attrgetter("tree.serial"))
     rows.sort(key=attrgetter("edge_count"))
@@ -461,7 +493,10 @@ def _canonical_tails(n: int, p: int) -> set:
     the images of its last n - 3 points under the Moebius map that sends its
     first three points a, b, c to (0, 1, oo).  That map is the cross-ratio
     z -> det(z,a) det(b,c) / (det(z,c) det(b,a)), where det(u,v) = u0 v1 - u1 v0
-    on homogeneous coordinates; it is tabulated once per ordered triple."""
+    on homogeneous coordinates; it is tabulated once per ordered triple.
+    The table keeps the order of its keys, so the k-th tuple of values that
+    permutations yields is the image of the k-th tuple of keys: each
+    configuration is mapped by its own triple's map."""
     coords = {z: (z, 1) for z in range(p)}
     coords[None] = (1, 0)  # the point at infinity
     tails = set()
@@ -470,8 +505,7 @@ def _canonical_tails(n: int, p: int) -> set:
         ratio = (b0 * c1 - b1 * c0) * pow(b0 * a1 - b1 * a0, -1, p)
         image = {z: (x * a1 - y * a0) * ratio * pow(x * c1 - y * c0, -1, p) % p
                  for z, (x, y) in coords.items() if z not in (a, b, c)}
-        tails.update(tuple(map(image.__getitem__, rest))
-                     for rest in itertools.permutations(image, n - 3))
+        tails.update(itertools.permutations(image.values(), n - 3))
     return tails
 
 

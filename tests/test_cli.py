@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from m0nbar import getzler, keel, strata, zeta
-from m0nbar.cli import main
+from m0nbar.cli import _zeta_digits, main
 from m0nbar.report import make_report
 
 
@@ -334,12 +334,25 @@ def test_verify_zeta_output_budget_is_checked_before_any_row(capsys, monkeypatch
     monkeypatch.setattr(zeta, "verify_zeta_counts", refuse)
     built = len(keel._ROWS)
     p = str(2**61 - 1)
-    for max_n, order, digits in (("175", "25", "1.78e+08"), ("60", "20", "1.27e+07")):
-        code, out, err = run_cli(capsys, "verify", "zeta", "--max-n", max_n, "--q", p,
+    for max_n, q, order, digits in (("175", p, "25", "1.79e+08"), ("60", p, "20", "1.28e+07"),
+                                    ("175", "2", "45", "1.16e+07")):
+        code, out, err = run_cli(capsys, "verify", "zeta", "--max-n", max_n, "--q", q,
                                  "--order", order)
         assert (code, out, err) == (2, "", "error: verify zeta would print about %s digits, "
                                            "beyond its budget of 1e+07\n" % digits)
     assert len(keel._ROWS) == built
+
+
+def test_verify_zeta_digit_estimate_bounds_the_printed_digits(capsys):
+    # at small p the Betti numbers add digits that the leading power of p
+    # does not count; the estimate holds them with P_n(1)
+    for max_n, q, order in (("30", "2", "6"), ("25", "2,3", "4"), ("12", str(2**61 - 1), "3")):
+        code, out, _ = run_cli(capsys, "verify", "zeta", "--max-n", max_n, "--q", q,
+                               "--order", order, "--format", "json")
+        assert code == 0
+        printed = sum(len(r["lhs"]) + len(r["rhs"]) for r in json.loads(out)["reports"])
+        estimate = _zeta_digits(tuple(map(int, q.split(","))), int(order), int(max_n))
+        assert printed <= estimate < 1.3 * printed, (max_n, q, order)
 
 
 def test_keel_row_bound(capsys):

@@ -15,6 +15,8 @@ from m0nbar.keel import poincare_poly
 from m0nbar.strata import (
     CENSUS_MAX_N,
     DualTree,
+    StratumInfo,
+    _canonical_tails,
     boundary_edge_sum,
     enumerate_stable_trees,
     make_tree,
@@ -111,6 +113,43 @@ def test_serial_digests_pinned():
         assert _sha256_lines(
             "%d %s %s" % (t.vertex_count, t.edges, t.legs) for t in trees
         ) == STRUCTURE_SHA256[n], n
+
+
+# sha256 of the newline-joined "serial count_poly edge_count" lines of a
+# cold table, count_poly as comma-separated coefficients, pinned from the
+# generator that rebuilt each block's kid options for every height
+TABLE_SHA256 = {
+    3: "bf2dcb09c6cec195844bea030622d8bd94645ebd4cd93978d23c71856e704106",
+    4: "a9a98c5c3cdf580759e1ddf396070c321133b1f79501cbe81d0ddbe1d07aa977",
+    5: "13eb221916b5fe899f0e6ffac04b23d2c3085ccd6e3019bac45b5ef52e2018d5",
+    6: "ccbe0b38824f279ba95ca7f73d9f3357f211c26b1fbce44f53078e4a2cb140f4",
+    7: "0d76a99c036bda9b7190fd6fb5899dcd72c146d3bebbc7a2c464b7d677ece79d",
+    8: "59b6b8cdbdcb3eb14849fba5689040ab8d4e0352e364737f64dc626f3c3ba738",
+}
+
+
+def test_cold_table_digests_pinned():
+    # __wrapped__ skips the lru_cache, so each call generates its trees
+    # afresh with a memo of its own; a second cold call gives equal rows, so
+    # nothing the first leaves behind changes the next
+    for n, digest in TABLE_SHA256.items():
+        rows = strata_table.__wrapped__(n)
+        assert _sha256_lines(
+            "%s %s %d" % (row.tree.serial, ",".join(map(str, row.count_poly)), row.edge_count)
+            for row in rows
+        ) == digest, n
+        again = strata_table.__wrapped__(n)
+        assert again == rows and [r.tree.serial for r in again] == [r.tree.serial for r in rows]
+
+
+def test_table_rows_equal_constructed_rows():
+    # table rows fill their slots without running __init__; they equal, field
+    # by field, the rows the constructors make from the same serials
+    for n in (4, 6):
+        for row in strata_table.__wrapped__(n):
+            tree = DualTree(row.tree.vertex_count, None, None, row.tree.serial)
+            made = StratumInfo(tree, row.count_poly, row.edge_count)
+            assert repr(row) == repr(made) and row == made and hash(row) == hash(made)
 
 
 def test_census_matches_table():
@@ -476,6 +515,51 @@ def test_orbit_count_matches_formula():
     for q in (2, 3, 5, 7):
         for n in range(3, q + 2):
             assert orbit_count_direct(n, q) == poly_eval(open_stratum_poly(n), q)
+
+
+def _tails_by_lookup(n, p):
+    """The canonical tails as the brute force first built them: each tail
+    looked up, point by point, in its triple's table of images."""
+    coords = {z: (z, 1) for z in range(p)}
+    coords[None] = (1, 0)
+    tails = set()
+    for a, b, c in itertools.permutations(coords, 3):
+        (a0, a1), (b0, b1), (c0, c1) = coords[a], coords[b], coords[c]
+        ratio = (b0 * c1 - b1 * c0) * pow(b0 * a1 - b1 * a0, -1, p)
+        image = {z: (x * a1 - y * a0) * ratio * pow(x * c1 - y * c0, -1, p) % p
+                 for z, (x, y) in coords.items() if z not in (a, b, c)}
+        tails.update(tuple(map(image.__getitem__, rest))
+                     for rest in itertools.permutations(image, n - 3))
+    return tails
+
+
+def test_canonical_tails_match_the_lookup_oracle():
+    for q in (2, 3, 5, 7):
+        for n in range(3, q + 3):
+            tails = _canonical_tails(n, q)
+            assert tails == _tails_by_lookup(n, q), (n, q)
+            assert (len(tails) == 0) == (n == q + 2), (n, q)
+
+
+def test_orbit_brute_force_maps_every_configuration(monkeypatch):
+    # each ordered triple is one permutation, and each configuration one
+    # more, so the count pins (q+1) q (q-1) maps and (q+1)!/(q+1-n)!
+    # configurations; it fails if a triple or a configuration is skipped
+    permutations, yielded = itertools.permutations, [0]
+
+    def counted(items, r):
+        for perm in permutations(items, r):
+            yielded[0] += 1
+            yield perm
+
+    monkeypatch.setattr(itertools, "permutations", counted)
+    for q in (2, 3, 5, 7):
+        for n in range(3, q + 2):
+            yielded[0] = 0
+            orbit_count_direct(n, q)
+            triples = (q + 1) * q * (q - 1)
+            configurations = prod(range(q + 2 - n, q + 2))
+            assert yielded[0] == triples + configurations, (n, q)
 
 
 def test_orbit_count_guards():
