@@ -48,11 +48,6 @@ def ratpoly(*coeffs) -> RatPoly:
     return normalize(Fraction(c) for c in coeffs)
 
 
-def poly_degree(p) -> int:
-    """Degree of a canonical polynomial; the zero polynomial has degree -1."""
-    return len(p) - 1
-
-
 def poly_add(a, b) -> tuple:
     if len(a) < len(b):
         a, b = b, a
@@ -442,7 +437,11 @@ def factorization_str(m: int) -> str:
 
 
 def require_prime_power(q: int) -> None:
-    """Reject q unless it is a prime power, naming the factorization."""
+    """Reject q unless it is an int and a prime power, naming the
+    factorization.  The type is checked first, so no memo downstream ever
+    sees a float key such as 2.0, which hashes like 2."""
+    if not isinstance(q, int):
+        raise ValueError("q = %r is not an int" % (q,))
     if q < 2:
         raise ValueError("q = %r is not a prime power" % (q,))
     if not is_prime_power(q):
@@ -452,6 +451,9 @@ def require_prime_power(q: int) -> None:
 
 
 def require_prime(p: int) -> None:
+    """Reject p unless it is an int and a prime, naming the factorization."""
+    if not isinstance(p, int):
+        raise ValueError("p = %r is not an int" % (p,))
     if not is_prime(p):
         if p >= 2:
             raise ValueError("p = %s = %s is not prime" % (_decimal(p), factorization_str(p)))

@@ -16,6 +16,7 @@ is no curve-by-curve construction of the map itself.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 from .algebra import poly_eval, require_prime_power
@@ -54,13 +55,21 @@ def fiber_size_breakdown(tree: DualTree, q: int):
     exceeds q+1: such a component cannot hold its special points over F_q,
     the stratum has no F_q-points, and no breakdown is meaningful.  Each
     edge at a vertex leads to at least two legs, so no valence exceeds n,
-    and for q + 1 >= n the valences are not read.
+    and for q + 1 >= n the valences are not read.  q is validated on every
+    call; the breakdown itself depends on (n, k(rho), q) alone, so
+    _breakdown builds each one once and every tree of that kind shares it.
     """
     require_prime_power(q)
     n = tree.n_legs
     if q + 1 < n and max(tree.valences()) > q + 1:
         return None
-    k = tree.edge_count
+    return _breakdown(n, tree.edge_count, q)
+
+
+@lru_cache(maxsize=4096)
+def _breakdown(n: int, k: int, q: int) -> FiberBreakdown:
+    """The FiberBreakdown of a nonempty stratum with n legs and k nodes; the
+    last 4096 are kept, and a NamedTuple is immutable, so callers share it."""
     same = (k + 1) * (q + 1) - n - 2 * k
     return FiberBreakdown(k, q, same, n, k, same + n + k)
 

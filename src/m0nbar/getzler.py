@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from .algebra import (
@@ -50,23 +51,17 @@ from .report import make_report
 _S_TIMES_S_MINUS_1 = (0, -1, 1)   # s(s-1) = s^2 - s
 
 
-def falling_binomial(n: int) -> RatPoly:
-    """binom(s, n) = s(s-1)...(s-n+1)/n! as a polynomial in s."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    poly = ratpoly(1)
-    for j in range(n):
-        poly = poly_mul(poly, ratpoly(-j, 1))
-    return poly_scale(poly, Fraction(1, factorial(n)))
-
-
+@lru_cache(maxsize=256)
 def _open_poly(n: int) -> RatPoly:
     """-n! times the x^n coefficient of g(x) - x, i.e. of
     -((1+x)^s - (1 + s*x)) / (s(s-1)), from the falling factorial
     s(s-1)...(s-n+1) in integers.
 
     The numerator vanishes identically for n <= 1, so the quotient is exact
-    there too; a remainder at any n is a hard error, not data.
+    there too; a remainder at any n is a hard error, not data.  The last 256
+    quotients are kept, well above the series order guard of 55, so
+    series_g, open_homology_dims and verify_inverse divide once per n; a
+    raise is never cached.
     """
     falling = (1,)
     for j in range(n):

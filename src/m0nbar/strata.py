@@ -470,19 +470,34 @@ def stratum_census(n: int) -> tuple:
 
 
 def stratified_count(n: int, q: int) -> int:
-    """|Mbar_{0,n}(F_q)| summed stratum by stratum over all dual trees."""
+    """|Mbar_{0,n}(F_q)| summed stratum by stratum over all dual trees.
+
+    q is validated on every call; the sum itself is read from
+    _census_sums, which walks the census once per (n, q)."""
     require_prime_power(q)
-    return sum(mult * poly_eval(poly, q) for (poly, _), mult in stratum_census(n))
+    return _census_sums(n, q)[0]
 
 
 def boundary_edge_sum(n: int, q: int) -> int:
     """Sum of k(rho) over the F_q-points rho of the boundary strata."""
     require_prime_power(q)
-    return sum(
-        mult * edges * poly_eval(poly, q)
-        for (poly, edges), mult in stratum_census(n)
-        if edges
-    )
+    return _census_sums(n, q)[1]
+
+
+@lru_cache(maxsize=4096)
+def _census_sums(n: int, q: int) -> tuple:
+    """(sum of |rho(F_q)|, sum of k(rho) |rho(F_q)|) over the strata rho of
+    Mbar_{0,n}, from one walk of stratum_census(n).
+
+    Callers validate q first, so only int prime powers become keys.  The
+    last 4096 pairs are kept, which covers every n <= 7 at 800 values of q;
+    a census guard raise is never cached, so it repeats on every call."""
+    count = edge_sum = 0
+    for (poly, edges), mult in stratum_census(n):
+        value = mult * poly_eval(poly, q)
+        count += value
+        edge_sum += edges * value
+    return count, edge_sum
 
 
 # ---------------------------------------------------------------------------

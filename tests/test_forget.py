@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from m0nbar import forget, getzler, strata
+from m0nbar.algebra import is_prime_power, poly_eval, require_prime, require_prime_power
 from m0nbar.forget import (
     FiberBreakdown,
     fiber_size,
@@ -11,7 +13,15 @@ from m0nbar.forget import (
     verify_lemma4,
 )
 from m0nbar.keel import point_count, verify_count_recurrence
-from m0nbar.strata import boundary_edge_sum, enumerate_stable_trees, make_tree, stratified_count
+from m0nbar.strata import (
+    CENSUS_MAX_N,
+    boundary_edge_sum,
+    enumerate_stable_trees,
+    make_tree,
+    stratified_count,
+    stratum_census,
+)
+from m0nbar.zeta import zeta_moduli
 
 
 def test_fiber_size():
@@ -97,14 +107,19 @@ def test_per_q_entry_points_reject_bad_q_every_call():
         lambda q: boundary_edge_sum(5, q),
         lambda q: point_count(5, q),
         lambda q: verify_count_recurrence(5, q),
+        lambda q: verify_lemma3(5, q),
+        lambda q: verify_lemma4(5, q),
     )
+    # refusals repeat before and after the valid calls that fill the memos
     for call in entry_points:
-        call(5)
         for _ in range(3):
             for bad in (6, 1, 0, -4):
                 with pytest.raises(ValueError, match="not a prime power"):
                     call(bad)
+            with pytest.raises(ValueError, match="cannot certify"):
+                call(2**89 - 1)   # a prime past the reach of certification
             call(5)
+            call(9973)
 
 
 def test_lemma3_hand_values():
@@ -148,3 +163,65 @@ def test_valences_never_exceed_n():
     # test_breakdown_every_small_tree compares it with the valence scan
     for n in range(3, 9):
         assert max(max(tree.valences()) for tree in enumerate_stable_trees(n)) == n
+
+
+def _sampled_prime_powers(seed: int, k: int) -> list:
+    """k prime powers up to 10^4 drawn with this seed, after 2, 3, 4 and 9973."""
+    pool = [m for m in range(5, 9973) if is_prime_power(m)]
+    return [2, 3, 4, 9973] + random.Random(seed).sample(pool, k)
+
+
+def test_census_memo_matches_reference_sums():
+    # the memo is read twice per (n, q): the first read may fill it
+    for q in _sampled_prime_powers(16, 8):
+        for n in range(3, CENSUS_MAX_N + 1):
+            census = stratum_census(n)
+            count = sum(mult * poly_eval(poly, q) for (poly, _), mult in census)
+            edges = sum(mult * k * poly_eval(poly, q) for (poly, k), mult in census)
+            assert count == point_count(n, q)
+            for _ in range(2):
+                assert stratified_count(n, q) == count
+                assert boundary_edge_sum(n, q) == edges
+                assert type(stratified_count(n, q)) is int
+
+
+def test_breakdown_memo_on_every_tree_of_n6():
+    trees = enumerate_stable_trees(6)
+    assert len(trees) == 236
+    for q in _sampled_prime_powers(17, 8):
+        shared = {}
+        for tree in trees:
+            k = tree.edge_count
+            for _ in range(2):
+                b = fiber_size_breakdown(tree, q)
+                if max(tree.valences()) > q + 1:
+                    assert b is None
+                    continue
+                assert tuple(b) == (k, q, (k + 1) * (q + 1) - 6 - 2 * k, 6, k, (q + 1) + q * k)
+                # one breakdown per (n, k(rho), q), shared by every such tree
+                assert shared.setdefault(k, b) is b
+        assert (q + 1 >= 6) == (len(shared) == 4)
+
+
+def test_memos_are_bounded():
+    for memo in (strata._census_sums, forget._breakdown, getzler._open_poly):
+        assert memo.cache_info().maxsize is not None
+
+
+def test_non_int_q_and_p_are_refused():
+    for q in (3.5, 2.0, 4.0):
+        with pytest.raises(ValueError, match="is not an int"):
+            require_prime_power(q)
+    for p in (2.0, 3.5):
+        with pytest.raises(ValueError, match="is not an int"):
+            require_prime(p)
+    for call in (lambda: point_count(5, 4.0), lambda: zeta_moduli(5, 2.0),
+                 lambda: fiber_size_breakdown(make_tree(1, [], {1: 0, 2: 0, 3: 0}), 2.0)):
+        with pytest.raises(ValueError, match="is not an int"):
+            call()
+    # 2.0 == 2 hashes alike: a float refused first must leave no float in the memo
+    strata._census_sums.cache_clear()
+    with pytest.raises(ValueError, match="is not an int"):
+        stratified_count(5, 2.0)
+    assert type(stratified_count(5, 2)) is int and stratified_count(5, 2) == 15
+

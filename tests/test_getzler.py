@@ -4,10 +4,9 @@ from math import factorial
 import pytest
 
 from m0nbar import getzler
-from m0nbar.algebra import BiSeries, poly_add, poly_scale, ratpoly, series_compose
+from m0nbar.algebra import BiSeries, poly_add, poly_mul, poly_scale, ratpoly, series_compose
 from m0nbar.cli import main
 from m0nbar.getzler import (
-    falling_binomial,
     open_homology_dims,
     series_f,
     series_g,
@@ -16,6 +15,15 @@ from m0nbar.getzler import (
 from m0nbar.keel import poincare_poly
 from m0nbar.report import all_pass
 from m0nbar.strata import open_stratum_poly
+
+
+def falling_binomial(n: int):
+    """binom(s, n) = s(s-1)...(s-n+1)/n! as a polynomial in s; a test-only
+    helper, as the package builds the falling factorial in integers."""
+    poly = ratpoly(1)
+    for j in range(n):
+        poly = poly_mul(poly, ratpoly(-j, 1))
+    return poly_scale(poly, Fraction(1, factorial(n)))
 
 
 def test_falling_binomial():
@@ -146,3 +154,11 @@ def test_homology_dims_match_open_stratum_counts():
         for i, d in enumerate(dims):
             signed[n - 2 - i] = d if i % 2 == 0 else -d
         assert ratpoly(*signed) == ratpoly(*open_stratum_poly(n + 1))
+
+
+def test_open_poly_memo_keeps_dims_and_raises():
+    # dims of M_{0,6}: (1 + 2t)(1 + 3t)(1 + 4t), read twice through the memo
+    assert open_homology_dims(5).dims == open_homology_dims(5).dims == (1, 9, 26, 24)
+    for _ in range(2):
+        with pytest.raises(ArithmeticError):
+            getzler._open_poly(-1)
