@@ -2,21 +2,19 @@
 genus-zero curves: Betti numbers and Poincare polynomials by Keel's
 recurrence, point counts over finite fields by independent routes, factored
 Hasse-Weil zeta functions, and Getzler's inverse pair of generating
-functions, all in exact integer and rational arithmetic.
+functions, all in exact arithmetic.
 """
 
 from .algebra import (
     BiSeries,
     InexactDivisionError,
     IntPoly,
-    RatPoly,
     intpoly,
     poly_add,
+    poly_div_exact,
     poly_eval,
     poly_mul,
     poly_str,
-    ratpoly,
-    ratpoly_div_exact,
     series_compose,
 )
 from .forget import (
@@ -67,7 +65,6 @@ __all__ = [
     "HomologyDims",
     "InexactDivisionError",
     "IntPoly",
-    "RatPoly",
     "StratumInfo",
     "VerificationReport",
     "all_pass",
@@ -85,11 +82,10 @@ __all__ = [
     "point_count",
     "poincare_poly",
     "poly_add",
+    "poly_div_exact",
     "poly_eval",
     "poly_mul",
     "poly_str",
-    "ratpoly",
-    "ratpoly_div_exact",
     "series_compose",
     "series_f",
     "series_g",

@@ -3,14 +3,15 @@
 A polynomial is a tuple of coefficients, index i holding the coefficient of
 the i-th power of the indeterminate.  Canonical form has no trailing zeros,
 so the zero polynomial is the empty tuple and structural equality (==) is
-mathematical equality.  Coefficients are Python ints (IntPoly) or
-fractions.Fraction objects (RatPoly); all arithmetic is exact and there is
-no floating point anywhere in the package.
+mathematical equality.  Coefficients are Python ints (IntPoly); all
+arithmetic is exact and there is no floating point anywhere in the package.
+poly_str also renders fractions.Fraction coefficients, for the printed
+ordinary coefficients of Getzler's series.
 
 A truncated power series (BiSeries) carries an explicit truncation order
-(exclusive) and retains trailing zeros; its coefficients are RatPoly, i.e. it
-is a series in x whose coefficients are polynomials in a second
-indeterminate s.
+(exclusive) and retains trailing zeros.  It is a series in x whose
+coefficients are polynomials in a second indeterminate s, stored in
+exponential form: coeffs[n] is n! [x^n], an IntPoly.
 """
 
 from __future__ import annotations
@@ -18,12 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, isqrt, lcm, log2
+from math import comb, isqrt, log2
 
-# Polynomials are coefficient tuples in canonical form; IntPoly carries ints,
-# RatPoly carries Fractions.  The arithmetic below is generic over both.
 IntPoly = tuple
-RatPoly = tuple
 
 
 class InexactDivisionError(ArithmeticError):
@@ -41,11 +39,6 @@ def normalize(coeffs) -> tuple:
 
 def intpoly(*coeffs: int) -> IntPoly:
     return normalize(coeffs)
-
-
-def ratpoly(*coeffs) -> RatPoly:
-    """Build a rational-coefficient polynomial; Fraction keeps lowest terms."""
-    return normalize(Fraction(c) for c in coeffs)
 
 
 def poly_add(a, b) -> tuple:
@@ -89,21 +82,23 @@ def poly_eval(p, x):
     return acc
 
 
-def ratpoly_div_exact(num: RatPoly, den: RatPoly) -> RatPoly:
-    """Divide two rational polynomials, demanding a zero remainder.
+def poly_div_exact(num: IntPoly, den: IntPoly) -> IntPoly:
+    """Divide two integer polynomials, demanding an integer quotient and a
+    zero remainder.
 
-    A nonzero remainder signals a math bug upstream, so it raises
+    A remainder signals a math bug upstream, so it raises
     InexactDivisionError instead of returning a quotient/remainder pair.
     """
-    num = normalize(Fraction(c) for c in num)
-    den = normalize(Fraction(c) for c in den)
+    num, den = normalize(num), normalize(den)
     if not den:
         raise ZeroDivisionError("division by the zero polynomial")
     rem = list(num)
-    quot = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
+    quot = [0] * max(len(num) - len(den) + 1, 0)
     lead = den[-1]
     for i in range(len(quot) - 1, -1, -1):
-        factor = rem[i + len(den) - 1] / lead
+        factor, left = divmod(rem[i + len(den) - 1], lead)
+        if left:
+            break
         quot[i] = factor
         if factor:
             for j, c in enumerate(den):
@@ -167,19 +162,21 @@ def poly_str(p, var: str = "s", power_scale: int = 1,
 
 @dataclass(frozen=True)
 class BiSeries:
-    """Series in x truncated at `order`, coefficients are RatPoly in s."""
+    """Series in x truncated at `order`; coeffs[n] = n! [x^n], an IntPoly in s."""
     order: int
     coeffs: tuple
 
     def __post_init__(self):
         if self.order < 0:
             raise ValueError("truncation order must be >= 0")
-        coeffs = tuple(ratpoly(*c) for c in self.coeffs)
+        coeffs = tuple(normalize(c) for c in self.coeffs)
         if len(coeffs) != self.order:
             raise ValueError(
                 "bivariate series wants exactly %d coefficients, got %d"
                 % (self.order, len(coeffs))
             )
+        if not all(isinstance(c, int) for poly in coeffs for c in poly):
+            raise ValueError("coefficients n! [x^n] must be integer polynomials: %r" % (coeffs,))
         object.__setattr__(self, "coeffs", coeffs)
 
 
@@ -191,14 +188,6 @@ def biseries_x(order: int) -> BiSeries:
     return BiSeries(order, coeffs)
 
 
-def _cleared_egf(coeffs) -> tuple:
-    """(ints, d): the exponential coefficients n! * coeffs[n], each times one
-    common integer d that clears every denominator, as integer polynomials."""
-    scaled = [[Fraction(c) * factorial(n) for c in poly] for n, poly in enumerate(coeffs)]
-    d = lcm(1, *(c.denominator for poly in scaled for c in poly))
-    return [tuple(c.numerator * (d // c.denominator) for c in poly) for poly in scaled], d
-
-
 def series_compose(f: BiSeries, g: BiSeries) -> BiSeries:
     """Substitute g into f, exactly, truncated at the shared order.
 
@@ -207,7 +196,8 @@ def series_compose(f: BiSeries, g: BiSeries) -> BiSeries:
     error rather than a silent truncation.
 
     The kernel is Faa di Bruno's formula in exponential form (Comtet,
-    Advanced Combinatorics, ch. 3).  With F_k = k! f_k and G_j = j! g_j,
+    Advanced Combinatorics, ch. 3).  With F_k = f.coeffs[k] = k! [x^k] f
+    and G_j = g.coeffs[j],
 
         m! [x^m] f(g) = sum_k F_k B_{m,k}(G),
 
@@ -217,17 +207,12 @@ def series_compose(f: BiSeries, g: BiSeries) -> BiSeries:
 
         B_{m,k} = sum_j C(m-1, j-1) G_j B_{m-j,k-1}.
 
-    All of it runs in integers.  F and G are cleared of denominators by one
-    integer each, df and dg, so B_{m,k}(G) = B_{m,k}(dg G) / dg^k and
-
-        m! df dg^m [x^m] f(g) = sum_k (df F_k) B_{m,k}(dg G) dg^(m-k),
-
-    which is divided back into Fractions once per output coefficient.  Each
-    integer polynomial in s is carried as its value at s = 2^width
-    (Kronecker substitution), so a product of polynomials is one product of
-    ints.  The same sums over the coefficients' absolute values at s = 1
-    bound every output coefficient, and width leaves room for that bound
-    and a sign, so each coefficient is read back from its slot exactly.
+    All of it runs in integers.  Each integer polynomial in s is carried as
+    its value at s = 2^width (Kronecker substitution), so a product of
+    polynomials is one product of ints.  The same sums over the
+    coefficients' absolute values at s = 1 bound every output coefficient,
+    and width leaves room for that bound and a sign, so each coefficient is
+    read back from its slot exactly.
     """
     if f.order != g.order:
         raise ValueError(
@@ -239,11 +224,9 @@ def series_compose(f: BiSeries, g: BiSeries) -> BiSeries:
         return BiSeries(0, ())
     if g.coeffs[0] != ():
         raise ValueError("composition needs a zero constant term in g")
-    fs, df = _cleared_egf(f.coeffs)
-    gs, dg = _cleared_egf(g.coeffs)
 
     def bell_sums(fv, gv):
-        # sum_k fv[k] B_{m,k}(gv) dg^(m-k) for m = 1 .. order-1
+        # sum_k fv[k] B_{m,k}(gv) for m = 1 .. order-1
         bell = [[1]]                # bell[m][k] = B_{m,k}; B_{0,0} = 1
         sums = []
         for m in range(1, order):
@@ -253,18 +236,19 @@ def series_compose(f: BiSeries, g: BiSeries) -> BiSeries:
             for k in range(1, m + 1):
                 b = sum(weighted[j] * bell[m - j][k - 1] for j in range(1, m - k + 2))
                 row.append(b)
-                total += fv[k] * b * dg ** (m - k)
+                total += fv[k] * b
             bell.append(row)
             sums.append(total)
         return sums
 
-    norms = bell_sums([sum(map(abs, p)) for p in fs], [sum(map(abs, p)) for p in gs])
+    norms = bell_sums([sum(map(abs, p)) for p in f.coeffs],
+                      [sum(map(abs, p)) for p in g.coeffs])
     width = max(norms, default=0).bit_length() + 1
     mask, half = (1 << width) - 1, 1 << (width - 1)
-    packed = bell_sums([sum(c << (width * i) for i, c in enumerate(p)) for p in fs],
-                       [sum(c << (width * i) for i, c in enumerate(p)) for p in gs])
+    packed = bell_sums([sum(c << (width * i) for i, c in enumerate(p)) for p in f.coeffs],
+                       [sum(c << (width * i) for i, c in enumerate(p)) for p in g.coeffs])
     out = [f.coeffs[0]]
-    for m, value in enumerate(packed, 1):
+    for value in packed:
         coeffs = []
         while value:
             c = value & mask
@@ -272,8 +256,7 @@ def series_compose(f: BiSeries, g: BiSeries) -> BiSeries:
                 c -= 1 << width
             coeffs.append(c)
             value = (value - c) >> width
-        den = factorial(m) * df * dg ** m
-        out.append(normalize(Fraction(c, den) for c in coeffs))
+        out.append(tuple(coeffs))
     return BiSeries(order, out)
 
 
@@ -436,12 +419,18 @@ def factorization_str(m: int) -> str:
     return " * ".join(parts)
 
 
+def require_int(name: str, value) -> None:
+    """Reject a value that is not an int, naming it.  Callers check first,
+    so no memo ever sees a float key such as 5.0, which hashes like 5."""
+    if not isinstance(value, int):
+        raise ValueError("%s = %r is not an int" % (name, value))
+
+
 def require_prime_power(q: int) -> None:
     """Reject q unless it is an int and a prime power, naming the
     factorization.  The type is checked first, so no memo downstream ever
     sees a float key such as 2.0, which hashes like 2."""
-    if not isinstance(q, int):
-        raise ValueError("q = %r is not an int" % (q,))
+    require_int("q", q)
     if q < 2:
         raise ValueError("q = %r is not a prime power" % (q,))
     if not is_prime_power(q):
@@ -452,8 +441,7 @@ def require_prime_power(q: int) -> None:
 
 def require_prime(p: int) -> None:
     """Reject p unless it is an int and a prime, naming the factorization."""
-    if not isinstance(p, int):
-        raise ValueError("p = %r is not an int" % (p,))
+    require_int("p", p)
     if not is_prime(p):
         if p >= 2:
             raise ValueError("p = %s = %s is not prime" % (_decimal(p), factorization_str(p)))

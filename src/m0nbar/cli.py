@@ -222,21 +222,21 @@ def cmd_zeta(args):
 def cmd_getzler(args):
     order = args.order if args.order is not None else 8
     _require_order(order, 2, SERIES_ORDER_GUARD)
-    f = getzler.series_f(order)
-    g = getzler.series_g(order)
+    # the ordinary coefficients [x^n], printed as Fractions
+    f, g = ([getzler.ordinary_coeff(series, n) for n in range(order + 1)]
+            for series in (getzler.series_f(order), getzler.series_g(order)))
     if args.format == "json":
-        return 0, _json_text({"order": order, "f": [[str(c) for c in p] for p in f.coeffs],
-                              "g": [[str(c) for c in p] for p in g.coeffs]})
+        return 0, _json_text({"order": order, "f": [[str(c) for c in p] for p in f],
+                              "g": [[str(c) for c in p] for p in g]})
     if args.format == "csv":
-        rows = [[n, poly_str(a, "s"), poly_str(b, "s")]
-                for n, (a, b) in enumerate(zip(f.coeffs, g.coeffs))]
+        rows = [[n, poly_str(a, "s"), poly_str(b, "s")] for n, (a, b) in enumerate(zip(f, g))]
         return 0, _csv_text(["n", "f_coeff", "g_coeff"], rows)
     latex = args.format == "latex"
     lines = []
-    for name, series in (("f", f), ("g", g)):
+    for name, coeffs in (("f", f), ("g", g)):
         lines.append("%s(x):" % name)
         lines.extend("  x^%d: %s" % (n, poly_str(c, "s", latex=latex))
-                     for n, c in enumerate(series.coeffs))
+                     for n, c in enumerate(coeffs))
     return 0, "\n".join(lines) + "\n"
 
 

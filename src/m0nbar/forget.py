@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .algebra import poly_eval, require_prime_power
+from .algebra import poly_eval, require_int, require_prime_power
 from .keel import glued_pair_count
 from .report import VerificationReport, make_report
 from .strata import DualTree, boundary_edge_sum, stratified_count, stratum_census
@@ -32,6 +32,7 @@ def fiber_size(k_rho: int, q: int) -> int:
     point sits at one of the q+1-n free points of the line or sprouts a new
     component at one of the n marked points.
     """
+    require_int("k_rho", k_rho)
     if k_rho < 0:
         raise ValueError("k_rho must be >= 0")
     require_prime_power(q)

@@ -10,17 +10,17 @@ encodes the homology of the open moduli spaces, while
     f(x) = x + sum_{n>=2} x^n/n! * P_{n+1}(s)
 
 is built from the Poincare polynomials of the compactified spaces, and
-f(g(x)) = g(f(x)) = x.  Both are handled as truncated bivariate series with
-exact rational-polynomial coefficients.  (1+x)^s expands through the
-generalized binomial coefficients binom(s, n) = s(s-1)...(s-n+1)/n!: the
-falling factorials are built in integers, each quotient by s(s-1) is exact
-polynomial division with a remainder check (the divisibility is a theorem,
-so a remainder is a loud bug, not data), and it is scaled by -1/n! once.
-The x^n coefficient of g times -n! is, up to sign, the Poincare polynomial
-of the open space M_{0,n+1}, which open_homology_dims reads without
-building the rest of the series.  The compositions of verify_inverse run
-in algebra.series_compose's integer kernel, which takes about 1 s at the
-CLI's order guard of 55.
+f(g(x)) = g(f(x)) = x.  Both are held as truncated bivariate series in
+exponential form, n! [x^n], whose coefficients are integer polynomials in
+s: f stores Keel's rows P_{n+1} as they are, and g stores
+-s(s-1)...(s-n+1) / (s(s-1)) for n >= 2.  That falling factorial is built
+in integers, and its quotient by s(s-1) is exact polynomial division with
+a remainder check (the divisibility is a theorem, so a remainder is a loud
+bug, not data).  It is, up to sign, the Poincare polynomial of the open
+space M_{0,n+1}, which open_homology_dims reads without building the rest
+of the series.  The compositions of verify_inverse run in
+algebra.series_compose's integer kernel.  Only a printed coefficient is
+scaled back by 1/n! into Fractions (ordinary_coeff).
 
 The `order` arguments below are inclusive: order 8 keeps x^0 .. x^8.
 """
@@ -34,15 +34,16 @@ from math import factorial
 
 from .algebra import (
     BiSeries,
-    RatPoly,
+    IntPoly,
     biseries_x,
     poly_add,
+    poly_div_exact,
     poly_mul,
+    poly_neg,
     poly_scale,
     poly_str,
     poly_sub,
-    ratpoly,
-    ratpoly_div_exact,
+    require_int,
     series_compose,
 )
 from .keel import poincare_poly
@@ -52,7 +53,7 @@ _S_TIMES_S_MINUS_1 = (0, -1, 1)   # s(s-1) = s^2 - s
 
 
 @lru_cache(maxsize=256)
-def _open_poly(n: int) -> RatPoly:
+def _open_poly(n: int) -> IntPoly:
     """-n! times the x^n coefficient of g(x) - x, i.e. of
     -((1+x)^s - (1 + s*x)) / (s(s-1)), from the falling factorial
     s(s-1)...(s-n+1) in integers.
@@ -70,26 +71,30 @@ def _open_poly(n: int) -> RatPoly:
         falling = poly_sub(falling, (1,))        # the 1 of (1 + s*x)
     elif n == 1:
         falling = poly_sub(falling, (0, 1))      # the s*x of (1 + s*x)
-    return ratpoly_div_exact(falling, _S_TIMES_S_MINUS_1)
+    return poly_div_exact(falling, _S_TIMES_S_MINUS_1)
 
 
 def series_g(order: int) -> BiSeries:
     """Getzler's g, from the closed form, through x^order."""
+    require_int("order", order)
     if order < 2:
         raise ValueError("order must be >= 2")
-    coeffs = [poly_scale(_open_poly(n), Fraction(-1, factorial(n))) for n in range(order + 1)]
-    coeffs[1] = poly_add(coeffs[1], ratpoly(1))             # the leading x of g
+    coeffs = [poly_neg(_open_poly(n)) for n in range(order + 1)]
+    coeffs[1] = poly_add(coeffs[1], (1,))             # the leading x of g
     return BiSeries(order + 1, coeffs)
 
 
 def series_f(order: int) -> BiSeries:
-    """Getzler's f: x^n coefficient is P_{n+1}(s)/n! for n >= 2."""
+    """Getzler's f: n! [x^n] is Keel's row P_{n+1}(s) for n >= 2."""
+    require_int("order", order)
     if order < 2:
         raise ValueError("order must be >= 2")
-    coeffs = [(), (1,)]
-    for n in range(2, order + 1):
-        coeffs.append(poly_scale(poincare_poly(n + 1), Fraction(1, factorial(n))))
-    return BiSeries(order + 1, coeffs)
+    return BiSeries(order + 1, [(), (1,)] + [poincare_poly(n + 1) for n in range(2, order + 1)])
+
+
+def ordinary_coeff(series: BiSeries, n: int) -> tuple:
+    """[x^n] = n! [x^n] / n!, with Fraction coefficients: the printed form."""
+    return poly_scale(series.coeffs[n], Fraction(1, factorial(n)))
 
 
 def verify_inverse(order: int) -> list:
@@ -111,8 +116,8 @@ def _inverse_report(order: int, direction: str, composed: BiSeries, identity: Bi
     pairs = enumerate(zip(composed.coeffs, identity.coeffs))
     k = next((i for i, (a, b) in pairs if a != b), None)
     if k is not None:
-        report.lhs += " [x^%d: %s]" % (k, poly_str(composed.coeffs[k]))
-        report.rhs += " [x^%d: %s]" % (k, poly_str(identity.coeffs[k]))
+        report.lhs += " [x^%d: %s]" % (k, poly_str(ordinary_coeff(composed, k)))
+        report.rhs += " [x^%d: %s]" % (k, poly_str(ordinary_coeff(identity, k)))
     return report
 
 
@@ -131,21 +136,14 @@ class HomologyDims:
 def open_homology_dims(n: int) -> HomologyDims:
     """Extract dim H_i(M_{0,n+1}) for i = 0..n-2 from g's x^n coefficient.
 
-    The coefficient times -n! is sum_i (-1)^i dims[i] s^(n-2-i); each
-    extracted value must come out a nonnegative integer or the expansion is
+    The coefficient times -n! is sum_i (-1)^i dims[i] s^(n-2-i); there must
+    be n - 1 values and each must come out nonnegative, or the expansion is
     broken and this raises.
     """
+    require_int("n", n)
     if n < 2:
         raise ValueError("n must be >= 2")
-    signed = _open_poly(n)
-    dims = []
-    for i in range(n - 1):
-        power = n - 2 - i
-        c = signed[power] if power < len(signed) else Fraction(0)
-        value = c if i % 2 == 0 else -c
-        if value.denominator != 1 or value < 0:
-            raise ArithmeticError(
-                "homology dimension extraction failed at n=%d i=%d: %s" % (n, i, value)
-            )
-        dims.append(int(value))
-    return HomologyDims(n, tuple(dims))
+    dims = tuple((-1) ** i * c for i, c in enumerate(reversed(_open_poly(n))))
+    if len(dims) != n - 1 or min(dims) < 0:
+        raise ArithmeticError("homology dimension extraction failed at n=%d: %r" % (n, dims))
+    return HomologyDims(n, dims)

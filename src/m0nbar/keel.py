@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .algebra import IntPoly, poly_eval, require_prime_power
+from .algebra import IntPoly, poly_eval, require_int, require_prime_power
 from .report import make_report
 
 KEEL_MAX_N = 175  # rows up to n = 175 build cold in 2-3 s; the cost grows about as n^4
@@ -70,6 +70,7 @@ def betti(n: int, k: int) -> int:
 
 def poincare_poly(n: int) -> IntPoly:
     """P_n as a polynomial in s = t^2; degree is exactly n-3."""
+    require_int("n", n)
     row = _ROWS.get(n)
     if row is not None:
         return row

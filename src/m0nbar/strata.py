@@ -44,7 +44,7 @@ from functools import lru_cache, reduce
 from math import factorial, prod
 from operator import attrgetter, itemgetter
 
-from .algebra import IntPoly, is_prime, poly_eval, poly_mul, require_prime_power
+from .algebra import IntPoly, is_prime, poly_eval, poly_mul, require_int, require_prime_power
 
 ORBIT_GUARD_MAX_Q = 7   # (q+1)!/(q+1-n)! canonicalizations; 8!/1 worst case
 CENSUS_MAX_N = 20       # cold, the census takes 0.4 s and 17 MB at n = 20, 1.1-1.4 s at n = 22
@@ -380,15 +380,16 @@ def _valence_types(k: int) -> Counter:
 # ---------------------------------------------------------------------------
 # stratum counting
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def open_stratum_poly(m: int) -> IntPoly:
     """Number of PGL2(F_q)-orbits of m distinct labeled points on P^1(F_q).
 
     The group is simply transitive on ordered triples of distinct points,
     which pins the first three points at (0, 1, oo) and leaves the product
     prod_{j=2}^{m-2} (q - j) of remaining choices; the empty product (m = 3)
-    is 1.
+    is 1.  The memo is typed, as strata_table's is.
     """
+    require_int("m", m)
     if m < 3:
         raise ValueError("m must be >= 3")
     poly = (1,)
@@ -432,13 +433,15 @@ def _table_row(serial: str, valences: tuple) -> StratumInfo:
     return row
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def strata_table(n: int) -> tuple:
     """StratumInfo for every stable tree with n legs, in enumeration order.
 
     No tree is numbered: each row's count polynomial comes from the
-    valences the generator carries, and its tree from the serial.
+    valences the generator carries, and its tree from the serial.  The
+    memo is typed, so 5.0 never reads the entry of 5 and is refused here.
     """
+    require_int("n", n)
     if n < 3:
         raise ValueError("n must be >= 3")
     if n > ENUMERATION_MAX_N:
@@ -451,12 +454,13 @@ def strata_table(n: int) -> tuple:
     return tuple(rows)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def stratum_census(n: int) -> tuple:
     """((count_poly, edge_count), number of strata) for each stratum type.
 
     Built from the nested splits alone: no tree is numbered or serialized.
-    """
+    The memo is typed, as strata_table's is."""
+    require_int("n", n)
     if n < 3:
         raise ValueError("n must be >= 3")
     if n > CENSUS_MAX_N:
@@ -474,12 +478,14 @@ def stratified_count(n: int, q: int) -> int:
 
     q is validated on every call; the sum itself is read from
     _census_sums, which walks the census once per (n, q)."""
+    require_int("n", n)
     require_prime_power(q)
     return _census_sums(n, q)[0]
 
 
 def boundary_edge_sum(n: int, q: int) -> int:
     """Sum of k(rho) over the F_q-points rho of the boundary strata."""
+    require_int("n", n)
     require_prime_power(q)
     return _census_sums(n, q)[1]
 
@@ -489,7 +495,7 @@ def _census_sums(n: int, q: int) -> tuple:
     """(sum of |rho(F_q)|, sum of k(rho) |rho(F_q)|) over the strata rho of
     Mbar_{0,n}, from one walk of stratum_census(n).
 
-    Callers validate q first, so only int prime powers become keys.  The
+    Callers validate n and q first, so only ints become keys.  The
     last 4096 pairs are kept, which covers every n <= 7 at 800 values of q;
     a census guard raise is never cached, so it repeats on every call."""
     count = edge_sum = 0

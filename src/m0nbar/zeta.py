@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import require_prime
+from .algebra import require_int, require_prime
 from .keel import betti, point_count
 from .report import make_report
 
@@ -29,7 +29,10 @@ class FactoredZeta:
 
     def __post_init__(self):
         require_prime(self.p)
-        factors = tuple((int(j), int(e)) for j, e in self.factors)
+        factors = tuple((j, e) for j, e in self.factors)
+        for j, e in factors:
+            require_int("j", j)
+            require_int("e", e)
         if sorted(j for j, _ in factors) != [j for j, _ in factors]:
             raise ValueError("factors must be sorted by j")
         if len({j for j, _ in factors}) != len(factors):
@@ -48,6 +51,7 @@ def zeta_projective(n_dim: int, p: int) -> FactoredZeta:
 
 def zeta_moduli(n: int, p: int) -> FactoredZeta:
     """Z_{Mbar_{0,n}}: exponent at p^j is the Betti number b_{2j}."""
+    require_int("n", n)
     if n < 3:
         raise ValueError("n must be >= 3")
     return FactoredZeta(p, tuple((j, betti(n, j)) for j in range(n - 2)))

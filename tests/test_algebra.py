@@ -16,12 +16,12 @@ from m0nbar.algebra import (
     intpoly,
     is_prime,
     is_prime_power,
+    normalize,
     poly_add,
+    poly_div_exact,
     poly_eval,
     poly_mul,
     poly_str,
-    ratpoly,
-    ratpoly_div_exact,
     require_prime,
     require_prime_power,
     series_compose,
@@ -29,6 +29,11 @@ from m0nbar.algebra import (
 )
 from m0nbar.report import all_pass
 from m0nbar.zeta import verify_zeta_counts
+
+
+def ratpoly(*coeffs):
+    """A polynomial with Fraction coefficients, in canonical form."""
+    return normalize(Fraction(c) for c in coeffs)
 
 
 def poly_degree(p) -> int:
@@ -60,7 +65,7 @@ def test_eval():
 def test_degree_and_normalization():
     assert poly_degree(()) == -1
     assert intpoly(1, 2, 0, 0) == (1, 2)
-    assert ratpoly(Fraction(1, 2), 0) == (Fraction(1, 2),)
+    assert normalize((Fraction(1, 2), 0)) == (Fraction(1, 2),)
 
 
 def _random_poly(rng, rational=False):
@@ -104,38 +109,43 @@ def test_eval_is_ring_homomorphism():
 
 
 def test_div_exact():
-    s2_minus_s = ratpoly(0, -1, 1)
-    assert ratpoly_div_exact(s2_minus_s, s2_minus_s) == (Fraction(1),)
     # binom(s,2)*2! = s^2 - s, divided by s(s-1)
-    assert ratpoly_div_exact(ratpoly(0, -1, 1), ratpoly(0, -1, 1)) == ratpoly(1)
+    assert poly_div_exact((0, -1, 1), (0, -1, 1)) == (1,)
+    assert poly_div_exact((0, -2, 0, 2), (0, -2, 2)) == (1, 1)
     with pytest.raises(InexactDivisionError):
-        ratpoly_div_exact(ratpoly(1, 1), ratpoly(0, 1))
+        poly_div_exact((1, 1), (0, 1))
+    with pytest.raises(InexactDivisionError):   # s / 2s has no integer quotient
+        poly_div_exact((0, 1), (0, 2))
     with pytest.raises(ZeroDivisionError):
-        ratpoly_div_exact(ratpoly(1), ())
+        poly_div_exact((1,), ())
 
 
 def test_div_exact_random_products():
     rng = random.Random(4242)
     for _ in range(40):
-        a = _random_poly(rng, rational=True)
-        b = _random_poly(rng, rational=True)
+        a = _random_poly(rng)
+        b = _random_poly(rng)
         if not a or not b:
             continue
-        assert ratpoly_div_exact(poly_mul(a, b), b) == a
+        assert poly_div_exact(poly_mul(a, b), b) == a
 
 
 def test_series_validation():
     with pytest.raises(ValueError):
         BiSeries(2, ((), (1,), ()))  # length mismatch
-    s = BiSeries(3, ((), (1,), ()))
-    assert s.coeffs == ((), (Fraction(1),), ())  # trailing zero kept
+    s = BiSeries(3, ((), (1, 0), ()))
+    assert s.coeffs == ((), (1,), ())  # trailing zero series term kept
+    # the coefficients n! [x^n] are integer polynomials in s
+    for bad in (Fraction(1, 2), Fraction(1), 1.0, "1"):
+        with pytest.raises(ValueError, match="must be integer polynomials"):
+            BiSeries(2, ((), (0, bad)))
 
 
 def test_compose_identity_both_sides():
     rng = random.Random(11)
     for _ in range(20):
         order = rng.randrange(2, 6)
-        coeffs = [_random_poly(rng, rational=True) for _ in range(order)]
+        coeffs = [_random_poly(rng) for _ in range(order)]
         f = BiSeries(order, coeffs)
         coeffs[0] = ()
         g = BiSeries(order, coeffs)
@@ -145,32 +155,40 @@ def test_compose_identity_both_sides():
 
 
 def test_compose_hand_example():
-    # f = x^2, g = x + x^2, truncation order 4: f(g) = x^2 + 2x^3
-    f = BiSeries(4, [(), (), (1,), ()])
-    g = BiSeries(4, [(), (1,), (1,), ()])
-    assert series_compose(f, g) == BiSeries(4, [(), (), (1,), (2,)])
+    # f = x^2, g = x + x^2, truncation order 4: f(g) = x^2 + 2x^3, each
+    # stored as n! [x^n]
+    f = BiSeries(4, [(), (), (2,), ()])
+    g = BiSeries(4, [(), (1,), (2,), ()])
+    assert series_compose(f, g) == BiSeries(4, [(), (), (2,), (12,)])
+
+
+def _ordinary(series):
+    # [x^n] = n! [x^n] / n!, with Fraction coefficients
+    return [ratpoly(*(Fraction(c, factorial(n)) for c in p))
+            for n, p in enumerate(series.coeffs)]
 
 
 def _compose_by_powers(f, g):
     # the Fraction power loop series_compose used before its integer kernel,
-    # kept as an independent oracle: sum_n f_n g^n with g^n built by
-    # repeated truncated multiplication
-    order = f.order
+    # kept as an independent oracle on the ordinary coefficients f[n] and
+    # g[n]: sum_n f_n g^n with g^n built by repeated truncated
+    # multiplication
+    order = len(f)
     if order == 0:
-        return BiSeries(0, ())
+        return []
     out = [()] * order
-    out[0] = f.coeffs[0]
-    gpow = list(g.coeffs)
+    out[0] = f[0]
+    gpow = list(g)
     for n in range(1, order):
-        if f.coeffs[n]:
+        if f[n]:
             for m in range(n, order):
-                out[m] = poly_add(out[m], poly_mul(f.coeffs[n], gpow[m]))
+                out[m] = poly_add(out[m], poly_mul(f[n], gpow[m]))
         nxt = [()] * order
         for i, ca in enumerate(gpow):
             for j in range(order - i):
-                nxt[i + j] = poly_add(nxt[i + j], poly_mul(ca, g.coeffs[j]))
+                nxt[i + j] = poly_add(nxt[i + j], poly_mul(ca, g[j]))
         gpow = nxt
-    return BiSeries(order, out)
+    return out
 
 
 def test_compose_matches_the_power_loop():
@@ -178,23 +196,20 @@ def test_compose_matches_the_power_loop():
     cases = []
     for _ in range(150):
         order = rng.randrange(0, 10)
-        f = [_random_poly(rng, rational=True) for _ in range(order)]
-        g = [()] + [_random_poly(rng, rational=True) for _ in range(order - 1)]
+        f = [_random_poly(rng) for _ in range(order)]
+        g = [()] + [_random_poly(rng) for _ in range(order - 1)]
         cases.append((BiSeries(order, f), BiSeries(order, g[:order])))
     for order in range(1, 10):
         zero = BiSeries(order, [()] * order)
-        # f has a nonzero constant term, and both are fractional after
-        # scaling x^n by n!
-        f = BiSeries(order, [ratpoly(Fraction(n + 1, 3 * factorial(n)), Fraction(-1, n + 2))
-                             for n in range(order)])
-        g = BiSeries(order, [()] + [ratpoly(Fraction(1, 2 * n + 1), Fraction(n, 5))
-                                    for n in range(1, order)])
+        # f has a nonzero constant term, and both have ordinary coefficients
+        # that are not integers
+        f = BiSeries(order, [(n + 1, -n - 2) for n in range(order)])
+        g = BiSeries(order, [()] + [(2 * n + 1, n % 5) for n in range(1, order)])
         cases += [(f, g), (g, g), (f, biseries_x(order)), (f, zero), (zero, g), (zero, zero)]
     nonintegral = 0
     for f, g in cases:
-        nonintegral += any((c * factorial(n)).denominator > 1
-                           for n, p in enumerate(g.coeffs) for c in p)
-        assert series_compose(f, g) == _compose_by_powers(f, g), (f, g)
+        nonintegral += any(c.denominator > 1 for p in _ordinary(g) for c in p)
+        assert _ordinary(series_compose(f, g)) == _compose_by_powers(_ordinary(f), _ordinary(g)), (f, g)
     assert nonintegral > 100
 
 
@@ -211,7 +226,7 @@ def test_poly_str():
     assert poly_str(intpoly(-2, 1), "q", descending=True) == "q - 2"
     assert poly_str(intpoly(6, -5, 1), "q", descending=True) == "q^2 - 5*q + 6"
     assert poly_str((), "q") == "0"
-    assert poly_str(ratpoly(Fraction(1, 3), Fraction(-1, 6)), "s") == "1/3 - 1/6*s"
+    assert poly_str((Fraction(1, 3), Fraction(-1, 6)), "s") == "1/3 - 1/6*s"
     assert poly_str(intpoly(1, 16), "t", power_scale=2, latex=True) == "1 + 16t^{2}"
 
 
@@ -406,3 +421,10 @@ def test_numbers_too_long_to_print_are_refused_by_size():
         require_prime_power(2 * 10**5000)
     with pytest.raises(ValueError, match=r"^p = a 16610-bit number = 2\^5000 \* 5\^5000 is not"):
         require_prime(10**5000)
+
+
+def test_star_import_binds_every_exported_name():
+    namespace = {}
+    exec("from m0nbar import *", namespace)
+    import m0nbar
+    assert [name for name in m0nbar.__all__ if name not in namespace] == []

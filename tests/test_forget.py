@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -12,12 +13,15 @@ from m0nbar.forget import (
     verify_lemma3,
     verify_lemma4,
 )
-from m0nbar.keel import point_count, verify_count_recurrence
+from m0nbar.getzler import open_homology_dims, series_f, series_g
+from m0nbar.keel import poincare_poly, point_count, verify_count_recurrence
 from m0nbar.strata import (
     CENSUS_MAX_N,
     boundary_edge_sum,
     enumerate_stable_trees,
     make_tree,
+    open_stratum_poly,
+    strata_table,
     stratified_count,
     stratum_census,
 )
@@ -33,6 +37,12 @@ def test_fiber_size():
         fiber_size(-1, 3)
     with pytest.raises(ValueError):
         fiber_size(0, 6)
+
+
+def test_fiber_size_refuses_non_int_k_rho():
+    for bad in (1.5, 1.0, "1", Fraction(1)):
+        with pytest.raises(ValueError, match="k_rho = .* is not an int"):
+            fiber_size(bad, 2)
 
 
 def test_fiber_size_strictly_increasing():
@@ -120,6 +130,29 @@ def test_per_q_entry_points_reject_bad_q_every_call():
                 call(2**89 - 1)   # a prime past the reach of certification
             call(5)
             call(9973)
+
+
+def test_entry_points_reject_non_int_n_every_call():
+    # 5.0 and Fraction(5) hash like 5, so a memo keyed on n would answer
+    # them once 5 is in it; each is refused before and after the valid calls
+    entry_points = (
+        (poincare_poly, "n"),
+        (strata_table, "n"),
+        (stratum_census, "n"),
+        (open_stratum_poly, "m"),
+        (lambda n: stratified_count(n, 2), "n"),
+        (lambda n: boundary_edge_sum(n, 2), "n"),
+        (series_f, "order"),
+        (series_g, "order"),
+        (open_homology_dims, "n"),
+        (lambda n: zeta_moduli(n, 2), "n"),
+    )
+    for call, name in entry_points:
+        for _ in range(2):
+            for bad in (5.0, Fraction(5), "5", None):
+                with pytest.raises(ValueError, match="%s = .* is not an int" % name):
+                    call(bad)
+            call(5)
 
 
 def test_lemma3_hand_values():

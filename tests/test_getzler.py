@@ -4,10 +4,11 @@ from math import factorial
 import pytest
 
 from m0nbar import getzler
-from m0nbar.algebra import BiSeries, poly_add, poly_mul, poly_scale, ratpoly, series_compose
+from m0nbar.algebra import BiSeries, intpoly, poly_add, poly_mul, poly_scale, series_compose
 from m0nbar.cli import main
 from m0nbar.getzler import (
     open_homology_dims,
+    ordinary_coeff,
     series_f,
     series_g,
     verify_inverse,
@@ -20,16 +21,16 @@ from m0nbar.strata import open_stratum_poly
 def falling_binomial(n: int):
     """binom(s, n) = s(s-1)...(s-n+1)/n! as a polynomial in s; a test-only
     helper, as the package builds the falling factorial in integers."""
-    poly = ratpoly(1)
+    poly = (1,)
     for j in range(n):
-        poly = poly_mul(poly, ratpoly(-j, 1))
+        poly = poly_mul(poly, (-j, 1))
     return poly_scale(poly, Fraction(1, factorial(n)))
 
 
 def test_falling_binomial():
-    assert falling_binomial(0) == ratpoly(1)
-    assert falling_binomial(1) == ratpoly(0, 1)
-    assert falling_binomial(2) == ratpoly(0, Fraction(-1, 2), Fraction(1, 2))
+    assert falling_binomial(0) == (1,)
+    assert falling_binomial(1) == (0, 1)
+    assert falling_binomial(2) == (0, Fraction(-1, 2), Fraction(1, 2))
     # binom(k, n) at integer k must agree with the arithmetic value
     from m0nbar.algebra import poly_eval
     from math import comb
@@ -39,34 +40,39 @@ def test_falling_binomial():
 
 
 def test_g_low_coefficients():
+    # exponential coefficients n! [x^n]
     g = series_g(4)
     assert g.coeffs[0] == ()
     assert g.coeffs[1] == (1,)
-    assert g.coeffs[2] == ratpoly(Fraction(-1, 2))          # g = x - x^2/2 + ...
-    assert g.coeffs[3] == ratpoly(Fraction(1, 3), Fraction(-1, 6))   # -(s-2)/6
-    assert g.coeffs[4] == ratpoly(Fraction(-1, 4), Fraction(5, 24), Fraction(-1, 24))
+    assert g.coeffs[2] == (-1,)             # g = x - x^2/2 + ...
+    assert g.coeffs[3] == (2, -1)           # -(s-2)
+    assert g.coeffs[4] == (-6, 5, -1)       # -(s-2)(s-3)
+    assert ordinary_coeff(g, 3) == (Fraction(1, 3), Fraction(-1, 6))
 
 
 def test_f_low_coefficients():
+    # exponential coefficients n! [x^n]
     f = series_f(4)
     assert f.coeffs[0] == ()
     assert f.coeffs[1] == (1,)
-    assert f.coeffs[2] == ratpoly(Fraction(1, 2))
-    assert f.coeffs[3] == ratpoly(Fraction(1, 6), Fraction(1, 6))
-    assert f.coeffs[4] == ratpoly(Fraction(1, 24), Fraction(5, 24), Fraction(1, 24))
+    assert f.coeffs[2] == (1,)
+    assert f.coeffs[3] == (1, 1)
+    assert f.coeffs[4] == (1, 5, 1)
+    assert ordinary_coeff(f, 4) == (Fraction(1, 24), Fraction(5, 24), Fraction(1, 24))
 
 
 def test_f_coefficients_are_scaled_poincare_rows():
     f = series_f(7)
     for n in range(2, 8):
+        assert f.coeffs[n] == poincare_poly(n + 1)
         expected = poly_scale(poincare_poly(n + 1), Fraction(1, factorial(n)))
-        assert f.coeffs[n] == expected
+        assert ordinary_coeff(f, n) == expected
 
 
 def test_f_times_factorial_is_palindromic():
     f = series_f(8)
     for n in range(2, 9):
-        row = poly_scale(f.coeffs[n], factorial(n))
+        row = f.coeffs[n]
         assert row == tuple(reversed(row))
 
 
@@ -101,14 +107,15 @@ def test_inverse_passing_lines_are_unchanged():
 
 
 def test_inverse_failure_names_the_first_differing_coefficient(monkeypatch, capsys):
-    # f with 1 added to its x^3 coefficient: both compositions first differ
-    # from x at x^3, by exactly that 1, since g = x + O(x^2)
+    # f with 1 added to its x^3 coefficient, i.e. 3! to its exponential
+    # one: both compositions first differ from x at x^3, by exactly that 1,
+    # since g = x + O(x^2)
     right = series_f
 
     def wrong_f(order):
         f = right(order)
         coeffs = list(f.coeffs)
-        coeffs[3] = poly_add(coeffs[3], ratpoly(1))
+        coeffs[3] = poly_add(coeffs[3], (6,))
         return BiSeries(f.order, coeffs)
 
     monkeypatch.setattr(getzler, "series_f", wrong_f)
@@ -124,10 +131,10 @@ def test_inverse_failure_names_the_first_differing_coefficient(monkeypatch, caps
     assert main(["verify", "getzler", "--order", "4"]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[:2] == [r.line() for r in reports]
-    # f = 2x + s x^3: both sides have an x^1 term, so only the coefficient
-    # shows where they part
+    # f = 2x + s x^3, stored as n! [x^n]: both sides have an x^1 term, so
+    # only the coefficient shows where they part
     monkeypatch.setattr(getzler, "series_f",
-                        lambda order: BiSeries(order + 1, [(), (2,), (), (0, 1), ()]))
+                        lambda order: BiSeries(order + 1, [(), (2,), (), (0, 6), ()]))
     assert [r.lhs + " | " + r.rhs for r in verify_inverse(4)] == [
         "x^1 + x^2 + x^3 + x^4 [x^1: 2] | x^1 [x^1: 1]",
     ] * 2
@@ -153,7 +160,7 @@ def test_homology_dims_match_open_stratum_counts():
         signed = [0] * (n - 1)
         for i, d in enumerate(dims):
             signed[n - 2 - i] = d if i % 2 == 0 else -d
-        assert ratpoly(*signed) == ratpoly(*open_stratum_poly(n + 1))
+        assert intpoly(*signed) == open_stratum_poly(n + 1)
 
 
 def test_open_poly_memo_keeps_dims_and_raises():
@@ -162,3 +169,19 @@ def test_open_poly_memo_keeps_dims_and_raises():
     for _ in range(2):
         with pytest.raises(ArithmeticError):
             getzler._open_poly(-1)
+
+
+def test_series_arithmetic_builds_no_fraction(monkeypatch):
+    # the series, their compositions and the open polynomials are integer
+    # polynomials end to end; only a printed coefficient becomes a Fraction
+    from m0nbar import algebra
+
+    class NoFraction:
+        def __new__(cls, *args):
+            raise AssertionError("Fraction%r built" % (args,))
+
+    monkeypatch.setattr(algebra, "Fraction", NoFraction)
+    monkeypatch.setattr(getzler, "Fraction", NoFraction)
+    getzler._open_poly.cache_clear()
+    assert all_pass(verify_inverse(10))
+    assert open_homology_dims(8).dims == (1, 27, 295, 1665, 5104, 8028, 5040)

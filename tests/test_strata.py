@@ -10,7 +10,7 @@ from math import comb, prod
 
 import pytest
 
-from m0nbar.algebra import poly_add, poly_eval, poly_mul, poly_scale, ratpoly
+from m0nbar.algebra import normalize, poly_add, poly_eval, poly_mul, poly_scale
 from m0nbar.keel import poincare_poly
 from m0nbar.strata import (
     CENSUS_MAX_N,
@@ -485,6 +485,10 @@ def test_total_count_polynomial_is_poincare():
         for row in strata_table(n):
             total = poly_add(total, row.count_poly)
         assert total == poincare_poly(n)
+
+
+def ratpoly(*coeffs):
+    return normalize(Fraction(c) for c in coeffs)
 
 
 def test_interpolated_counts_match_poincare():

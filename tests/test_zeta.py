@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from m0nbar.keel import point_count
@@ -75,6 +77,14 @@ def test_factored_zeta_validation():
         FactoredZeta(2, ((1, 1), (0, 1)))
     with pytest.raises(ValueError):
         FactoredZeta(2, ((0, 0),))
+
+
+def test_factored_zeta_refuses_non_int_factors():
+    assert FactoredZeta(2, [[0, 1], [1, 2]]).factors == ((0, 1), (1, 2))
+    for factors, name in ((((0, 1.5), (1, "2")), "e"), (((0, 1), (1, "2")), "e"),
+                          (((0.0, 1),), "j"), (((Fraction(1), 1),), "j")):
+        with pytest.raises(ValueError, match="%s = .* is not an int" % name):
+            FactoredZeta(2, factors)
 
 
 def test_counts_identity():
