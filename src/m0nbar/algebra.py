@@ -426,6 +426,13 @@ def require_int(name: str, value) -> None:
         raise ValueError("%s = %r is not an int" % (name, value))
 
 
+def require_order(order, least: int, guard: int) -> None:
+    """Reject an order that is not an int from least to guard, naming both."""
+    require_int("order", order)
+    if not least <= order <= guard:
+        raise ValueError("order must be between %d and %d" % (least, guard))
+
+
 def require_prime_power(q: int) -> None:
     """Reject q unless it is an int and a prime power, naming the
     factorization.  The type is checked first, so no memo downstream ever

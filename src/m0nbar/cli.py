@@ -18,7 +18,7 @@ import sys
 from collections import Counter
 from functools import reduce
 from math import comb, log10
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 from . import getzler, keel, strata, zeta
 from .algebra import (
@@ -27,6 +27,7 @@ from .algebra import (
     poly_eval,
     poly_scale,
     poly_str,
+    require_order,
     require_prime,
     require_prime_power,
 )
@@ -36,11 +37,6 @@ from .report import make_report
 FORMATS = ("plain", "json", "csv", "latex")
 VERIFY_TARGETS = ("recurrence", "strata", "forget", "getzler", "zeta", "all")
 DEFAULT_Q = (2, 3, 4, 5, 7, 8, 9, 11)
-# largest --order each series accepts, measured to answer in about 1.5 s:
-# verify getzler at the series guard, and the zeta counts of n = 175 at
-# p = 1009 beyond the cost of the Keel row they read
-SERIES_ORDER_GUARD = 55
-ZETA_ORDER_GUARD = 45
 # most digits verify zeta may print, counting both sides of every report:
 # measured, 10^7 digits (about 10 MB) take 2.5-5 s with the Keel rows
 ZETA_DIGITS_BUDGET = 10**7
@@ -65,30 +61,9 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def _plain_text(head, rows, right) -> str:
-    """Columns two spaces apart, each as wide as its widest cell; the columns
-    numbered in right are right-aligned and the last one is not padded.
-    head and the rows are tuples of strings."""
-    table = [head, *rows]
-    widths = [max(map(len, map(itemgetter(i), table))) for i in range(len(head) - 1)]
-    specs = [("%%%ds" if i in right else "%%-%ds") % w for i, w in enumerate(widths)]
-    line = "  ".join([*specs, "%s"])
-    return "".join((line % row).rstrip() + "\n" for row in table)
-
-
-def _latex_text(cols, head, rows) -> str:
-    lines = [" & ".join(row) + r" \\" for row in [head, *rows]]
-    return "\n".join([r"\begin{tabular}{%s}" % cols, *lines, r"\end{tabular}"]) + "\n"
-
-
 def _reject_format(fmt: str, command: str, allowed) -> None:
     if fmt not in allowed:
         raise ValueError("format '%s' is not supported by '%s'" % (fmt, command))
-
-
-def _require_order(order: int, minimum: int, guard: int) -> None:
-    if not minimum <= order <= guard:
-        raise ValueError("order must be between %d and %d" % (minimum, guard))
 
 
 # ---------------------------------------------------------------------------
@@ -144,64 +119,61 @@ def cmd_strata(args):
     kinds = Counter(map(attrgetter("count_poly"), table))
     total_poly = reduce(poly_add, (poly_scale(poly, mult) for poly, mult in kinds.items()))
     # each distinct count polynomial, the total's among them, is evaluated
-    # and rendered once per call
+    # and rendered once per call: its cells are the tail of every row it counts
     counts = {p: None if q is None else str(poly_eval(p, q)) for p in [*kinds, total_poly]}
-
-    if args.format == "json":
-        # the text _json_text would give, written record by record: each count
-        # polynomial's fields are encoded once, and a serial is made of digits
-        # and "(,;)" only, so it needs no escaping
-        tails = {p: _json_fields({"count_poly": [str(c) for c in p], "count": counts[p]}, 2)
-                 for p in kinds}
-        records = [
-            '    {\n      "tree": "%s",\n      "vertices": %d,\n      "edges": %d,\n%s\n    }'
-            % (row.tree.serial, row.tree.vertex_count, row.edge_count,
-               tails[row.count_poly])
-            for row in table
-        ]
+    # every format writes a row as line % (serial, vertices, edges, tail),
+    # rows sep apart between its head and its foot
+    fmt, sep = args.format, "\n"
+    polys = {p: poly_str(p, "q", descending=True, latex=fmt == "latex") for p in counts}
+    if fmt == "json":
+        # a serial is made of digits and "(,;)" only, so it needs no escaping
+        tails = {p: _json_fields({"count_poly": [str(c) for c in p], "count": count}, 2)
+                 for p, count in counts.items()}
+        head = '{\n%s,\n  "strata": [\n' % _json_fields({"n": args.n, "q": q}, 0)
+        line = '    {\n      "tree": "%s",\n      "vertices": %d,\n      "edges": %d,\n%s\n    }'
+        sep = ",\n"
         total = {"total_poly": [str(c) for c in total_poly], "total": counts[total_poly]}
-        return 0, '{\n%s,\n  "strata": [\n%s\n  ],\n%s\n}\n' % (
-            _json_fields({"n": args.n, "q": q}, 0), ",\n".join(records), _json_fields(total, 0))
-
-    latex = args.format == "latex"
-    if latex:
-        head = ("tree", "vertices", r"$k(\rho)$", "count polynomial", "count at $q=%s$" % q)
-        tree_cell, poly_cell, total = r"\verb|%s|", "$%s$", "total"
+        foot = "\n  ],\n%s\n}\n" % _json_fields(total, 0)
+    elif fmt == "latex":
+        tails = {p: "$%s$" % polys[p] if count is None else "$%s$ & %s" % (polys[p], count)
+                 for p, count in counts.items()}
+        cols, last = ("lrrl", "") if q is None else ("lrrlr", " & count at $q=%s$" % q)
+        head = ("\\begin{tabular}{%s}\ntree & vertices & $k(\\rho)$ & count polynomial%s \\\\\n"
+                % (cols, last))
+        line = "\\verb|%s| & %d & %d & %s \\\\"
+        foot = "\ntotal &  &  & %s \\\\\n\\end{tabular}\n" % tails[total_poly]
+    elif fmt == "csv":
+        # every serial holds a comma and never a quote, so it is quoted as is
+        tails = {p: polys[p] if count is None else "%s,%s" % (polys[p], count)
+                 for p, count in counts.items()}
+        head = "tree,vertices,edges,count_poly%s\n" % ("" if q is None else ",count")
+        line = '"%s",%d,%d,%s'
+        foot = "\nTOTAL,,,%s\n" % tails[total_poly]
     else:
-        head = ("tree", "vertices", "edges", "count_poly",
-                "count" if args.format == "csv" else "count(q=%s)" % q)
-        tree_cell, poly_cell, total = "%s", "%s", "TOTAL"
-    ncols = 4 if q is None else 5
-    head = head[:ncols]
-    tails = {
-        p: (poly_cell % poly_str(p, "q", descending=True, latex=latex), count)[:ncols - 3]
-        for p, count in counts.items()
-    }
-    if args.format == "plain" and q is not None:
-        # the last two cells depend only on the polynomial, so they are
-        # padded and joined as _plain_text would, once per polynomial
-        width = max(len(head[3]), *(len(cells[0]) for cells in tails.values()))
-        tails = {p: ("%-*s  %s" % (width, *cells),) for p, cells in tails.items()}
-        head = (*head[:3], "%-*s  %s" % (width, *head[3:]))
-    # "%s" % s is s itself and "%d" % k is a shared string for a one-digit k
-    # (str(k) makes a new one), so plain and csv rows add no strings: 5 MB at n = 8
-    rows = [
-        (tree_cell % row.tree.serial, "%d" % row.tree.vertex_count,
-         "%d" % row.edge_count, *tails[row.count_poly])
-        for row in table
-    ]
-    rows.append((total, "", "", *tails[total_poly]))
-    if args.format == "csv":
-        return 0, _csv_text(head, rows)
-    if latex:
-        return 0, _latex_text("lrrlr"[:ncols], head, rows)
-    return 0, _plain_text(head, rows, right=(1, 2))
+        # columns two spaces apart, each as wide as its widest cell; no vertex
+        # or edge count has as many digits as its header has letters
+        wide = max(len("TOTAL"), *map(len, map(attrgetter("tree.serial"), table)))
+        tails, last = polys, "count_poly"
+        if q is not None:
+            poly_wide = max(len(last), *map(len, polys.values()))
+            tails = {p: "%-*s  %s" % (poly_wide, polys[p], count) for p, count in counts.items()}
+            last = "%-*s  count(q=%s)" % (poly_wide, last, q)
+        head = "%-*s  vertices  edges  %s\n" % (wide, "tree", last)
+        line = "%%-%ds  %%8d  %%5d  %%s" % wide
+        foot = "\n%-*s  %8s  %5s  %s\n" % (wide, "TOTAL", "", "", tails[total_poly])
+    rows = [line % (row.tree.serial, row.tree.vertex_count, row.edge_count, tails[row.count_poly])
+            for row in table]
+    # the head and foot join the first and last rows, so the text is built
+    # by one join: head + sep.join(rows) + foot would copy it twice more
+    rows[0] = head + rows[0]
+    rows[-1] += foot
+    return 0, sep.join(rows)
 
 
 def cmd_zeta(args):
     require_prime(args.p)
     if args.order is not None:
-        _require_order(args.order, 1, ZETA_ORDER_GUARD)
+        require_order(args.order, 1, zeta.ZETA_ORDER_GUARD)
     z = zeta.zeta_moduli(args.n, args.p)
     # the point counts over F_{p^r} for r = 1..order
     counts = [] if args.order is None else zeta.log_derivative_series(z, args.order)[1:]
@@ -221,8 +193,8 @@ def cmd_zeta(args):
 
 def cmd_getzler(args):
     order = args.order if args.order is not None else 8
-    _require_order(order, 2, SERIES_ORDER_GUARD)
-    # the ordinary coefficients [x^n], printed as Fractions
+    # the ordinary coefficients [x^n], printed as Fractions; series_f
+    # refuses a bad order first
     f, g = ([getzler.ordinary_coeff(series, n) for n in range(order + 1)]
             for series in (getzler.series_f(order), getzler.series_g(order)))
     if args.format == "json":
@@ -292,7 +264,7 @@ def _verify_reports(target, max_n, qs, order):
     getzler_depth = order if order is not None else 8
     zeta_top = max_n if max_n is not None else 6
     if "zeta" in runs:
-        _require_order(zeta_depth, 1, ZETA_ORDER_GUARD)
+        require_order(zeta_depth, 1, zeta.ZETA_ORDER_GUARD)
         for p in zeta_ps:
             require_prime(p)
         digits = _zeta_digits(zeta_ps, zeta_depth, zeta_top)
@@ -300,7 +272,7 @@ def _verify_reports(target, max_n, qs, order):
             raise ValueError("verify zeta would print about %.3g digits, beyond its budget of %.0e"
                              % (digits, ZETA_DIGITS_BUDGET))
     if "getzler" in runs:
-        _require_order(getzler_depth, 2, SERIES_ORDER_GUARD)
+        require_order(getzler_depth, 2, getzler.SERIES_ORDER_GUARD)
 
     reports = []
     if "recurrence" in runs:

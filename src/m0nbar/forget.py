@@ -77,6 +77,7 @@ def _breakdown(n: int, k: int, q: int) -> FiberBreakdown:
 
 def verify_lemma3(n: int, q: int) -> VerificationReport:
     """Check |Mbar_{0,n+1}| = (q+1)|Mbar_{0,n}| + q * sum k(rho), over strata."""
+    require_int("n", n)
     lhs = stratified_count(n + 1, q)
     rhs = stratified_count(n, q) * (q + 1) + q * boundary_edge_sum(n, q)
     return make_report("lemma3", {"n": n, "q": q}, lhs, rhs)

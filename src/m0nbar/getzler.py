@@ -44,12 +44,17 @@ from .algebra import (
     poly_str,
     poly_sub,
     require_int,
+    require_order,
     series_compose,
 )
 from .keel import poincare_poly
 from .report import make_report
 
 _S_TIMES_S_MINUS_1 = (0, -1, 1)   # s(s-1) = s^2 - s
+# largest order the series accept, measured to answer in about 1.5 s for
+# verify_inverse at the guard; each series is refused beyond it before any
+# coefficient is built
+SERIES_ORDER_GUARD = 55
 
 
 @lru_cache(maxsize=256)
@@ -76,9 +81,7 @@ def _open_poly(n: int) -> IntPoly:
 
 def series_g(order: int) -> BiSeries:
     """Getzler's g, from the closed form, through x^order."""
-    require_int("order", order)
-    if order < 2:
-        raise ValueError("order must be >= 2")
+    require_order(order, 2, SERIES_ORDER_GUARD)
     coeffs = [poly_neg(_open_poly(n)) for n in range(order + 1)]
     coeffs[1] = poly_add(coeffs[1], (1,))             # the leading x of g
     return BiSeries(order + 1, coeffs)
@@ -86,9 +89,7 @@ def series_g(order: int) -> BiSeries:
 
 def series_f(order: int) -> BiSeries:
     """Getzler's f: n! [x^n] is Keel's row P_{n+1}(s) for n >= 2."""
-    require_int("order", order)
-    if order < 2:
-        raise ValueError("order must be >= 2")
+    require_order(order, 2, SERIES_ORDER_GUARD)
     return BiSeries(order + 1, [(), (1,)] + [poincare_poly(n + 1) for n in range(2, order + 1)])
 
 
@@ -98,7 +99,8 @@ def ordinary_coeff(series: BiSeries, n: int) -> tuple:
 
 
 def verify_inverse(order: int) -> list:
-    """Check f(g(x)) = x and g(f(x)) = x exactly through x^order."""
+    """Check f(g(x)) = x and g(f(x)) = x exactly through x^order; series_f
+    refuses a bad order before any Keel row is built."""
     f = series_f(order)
     g = series_g(order)
     identity = biseries_x(order + 1)

@@ -64,6 +64,7 @@ def _in_powers_of_s(r, odd: bool) -> IntPoly:
 
 def betti(n: int, k: int) -> int:
     """a_k(n) = b_{2k}(Mbar_{0,n}); zero outside 0 <= k <= n-3."""
+    require_int("k", k)
     row = poincare_poly(n)
     return row[k] if 0 <= k < len(row) else 0
 
@@ -122,6 +123,7 @@ def glued_pair_count(n: int, q: int) -> int:
     Terms j and n-j are equal, so this is the terms j < n/2 plus, for even
     n, the middle term at its half weight C(n, n/2) / 2 = C(n-1, n/2-1).
     """
+    require_int("n", n)
     return sum(
         (comb(n - 1, j - 1) if 2 * j == n else comb(n, j))
         * point_count(j + 1, q) * point_count(n - j + 1, q)
@@ -136,6 +138,7 @@ def verify_count_recurrence(n_max: int, q: int) -> list:
         |Mbar_{0,n+1}| = (1+q) |Mbar_{0,n}| + q * glued_pair_count(n, q).
     Returns one VerificationReport per n+1.
     """
+    require_int("n_max", n_max)
     if n_max < 4:
         raise ValueError("n_max must be >= 4")
     require_prime_power(q)

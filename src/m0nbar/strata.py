@@ -539,6 +539,8 @@ def orbit_count_direct(n: int, q: int) -> int:
     mod p) and guards q <= 7, which caps the enumeration at 8!/1 = 40320
     configurations.
     """
+    require_int("n", n)
+    require_int("q", q)
     if n < 3:
         raise ValueError("n must be >= 3")
     if not is_prime(q):

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from m0nbar import getzler, keel, strata, zeta
+from m0nbar.algebra import poly_eval, poly_str
 from m0nbar.cli import _zeta_digits, main
 from m0nbar.report import make_report
 
@@ -102,6 +103,41 @@ def test_strata_csv(capsys):
         '"(1,2,3;)",1,0,1',
         "TOTAL,,,1",
     ]
+
+
+def test_strata_csv_and_json_read_back_by_the_stdlib(capsys):
+    # both are written from row templates, not by the csv and json modules,
+    # so their parsers must give back every cell; csv quotes each serial,
+    # which always holds a comma
+    for n in range(3, 8):
+        table = strata.strata_table(n)
+        total = keel.poincare_poly(n)
+        for q in (None, 9):
+            def count(poly):
+                return None if q is None else str(poly_eval(poly, q))
+
+            at_q = () if q is None else ("--q", str(q))
+            code, out, _ = run_cli(capsys, "strata", "--n", str(n), "--format", "json", *at_q)
+            payload = json.loads(out)
+            assert code == 0 and list(payload) == ["n", "q", "strata", "total_poly", "total"]
+            assert (payload["n"], payload["q"]) == (n, q)
+            assert [(s["tree"], s["vertices"], s["edges"], tuple(map(int, s["count_poly"])),
+                     s["count"]) for s in payload["strata"]] == [
+                (row.tree.serial, row.tree.vertex_count, row.edge_count, row.count_poly,
+                 count(row.count_poly)) for row in table]
+            assert (tuple(map(int, payload["total_poly"])), payload["total"]) == (total, count(total))
+
+            code, out, _ = run_cli(capsys, "strata", "--n", str(n), "--format", "csv", *at_q)
+            head, *rows, last = csv.reader(io.StringIO(out))
+            assert code == 0 and head == ["tree", "vertices", "edges", "count_poly",
+                                          "count"][:4 if q is None else 5]
+            tail = [] if q is None else [count(total)]
+            assert last == ["TOTAL", "", "", poly_str(total, "q", descending=True), *tail]
+            assert rows == [
+                [row.tree.serial, str(row.tree.vertex_count), str(row.edge_count),
+                 poly_str(row.count_poly, "q", descending=True),
+                 *([] if q is None else [count(row.count_poly)])]
+                for row in table]
 
 
 def test_strata_guard(capsys):

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,18 +15,25 @@ from m0nbar.forget import (
     verify_lemma4,
 )
 from m0nbar.getzler import open_homology_dims, series_f, series_g
-from m0nbar.keel import poincare_poly, point_count, verify_count_recurrence
+from m0nbar.keel import (
+    betti,
+    glued_pair_count,
+    poincare_poly,
+    point_count,
+    verify_count_recurrence,
+)
 from m0nbar.strata import (
     CENSUS_MAX_N,
     boundary_edge_sum,
     enumerate_stable_trees,
     make_tree,
     open_stratum_poly,
+    orbit_count_direct,
     strata_table,
     stratified_count,
     stratum_census,
 )
-from m0nbar.zeta import zeta_moduli
+from m0nbar.zeta import log_derivative_series, verify_zeta_counts, zeta_moduli, zeta_projective
 
 
 def test_fiber_size():
@@ -146,11 +154,22 @@ def test_entry_points_reject_non_int_n_every_call():
         (series_g, "order"),
         (open_homology_dims, "n"),
         (lambda n: zeta_moduli(n, 2), "n"),
+        (lambda n: zeta_projective(n, 2), "n_dim"),
+        (lambda k: betti(5, k), "k"),
+        (lambda n: verify_count_recurrence(n, 2), "n_max"),
+        (lambda n: glued_pair_count(n, 2), "n"),
+        (lambda order: log_derivative_series(zeta_moduli(5, 2), order), "order"),
+        (lambda order: verify_zeta_counts(5, 2, order), "order"),
+        (lambda n: orbit_count_direct(n, 5), "n"),
+        # verify_lemma3 reads the census at n + 1, so it must name n, not n + 1
+        (lambda n: verify_lemma3(n, 2), "n"),
     )
     for call, name in entry_points:
         for _ in range(2):
             for bad in (5.0, Fraction(5), "5", None):
-                with pytest.raises(ValueError, match="%s = .* is not an int" % name):
+                # the exact value, so that a check on n + 1 does not pass for n
+                with pytest.raises(ValueError, match="^" + re.escape("%s = %r is not an int"
+                                                                   % (name, bad))):
                     call(bad)
             call(5)
 

@@ -7,6 +7,7 @@ from m0nbar import getzler
 from m0nbar.algebra import BiSeries, intpoly, poly_add, poly_mul, poly_scale, series_compose
 from m0nbar.cli import main
 from m0nbar.getzler import (
+    SERIES_ORDER_GUARD,
     open_homology_dims,
     ordinary_coeff,
     series_f,
@@ -83,6 +84,24 @@ def test_order_validation():
         series_f(0)
     with pytest.raises(ValueError):
         open_homology_dims(1)
+
+
+def test_series_order_guard_refuses_before_any_work(monkeypatch):
+    # series_g(400) took 5.6 s, and verify_inverse(200) built every Keel row
+    # to 175 before it refused; past the guard nothing is built
+    assert len(series_f(SERIES_ORDER_GUARD).coeffs) == SERIES_ORDER_GUARD + 1
+    assert len(series_g(SERIES_ORDER_GUARD).coeffs) == SERIES_ORDER_GUARD + 1
+
+    def refuse(*args):
+        raise AssertionError("a coefficient was built past the guard")
+
+    monkeypatch.setattr(getzler, "poincare_poly", refuse)
+    monkeypatch.setattr(getzler, "_open_poly", refuse)
+    for call in (series_f, series_g, verify_inverse):
+        for order in (SERIES_ORDER_GUARD + 1, 400):
+            with pytest.raises(ValueError, match="^order must be between 2 and %d$"
+                                                 % SERIES_ORDER_GUARD):
+                call(order)
 
 
 def test_inverse_hand_order_three():

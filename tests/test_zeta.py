@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from m0nbar import zeta
 from m0nbar.keel import point_count
 from m0nbar.report import all_pass
 from m0nbar.zeta import (
+    ZETA_ORDER_GUARD,
     FactoredZeta,
     log_derivative_series,
     verify_zeta_counts,
@@ -68,6 +70,23 @@ def test_log_derivative_moduli_five():
 def test_log_derivative_validation():
     with pytest.raises(ValueError):
         log_derivative_series(zeta_moduli(4, 2), 0)
+
+
+def test_zeta_order_guard_refuses_before_any_work(monkeypatch):
+    z = zeta_moduli(6, 1009)
+    assert len(log_derivative_series(z, ZETA_ORDER_GUARD)) == ZETA_ORDER_GUARD + 1
+
+    def refuse(*args):
+        raise AssertionError("a Keel row or count was read past the guard")
+
+    monkeypatch.setattr(zeta, "betti", refuse)
+    monkeypatch.setattr(zeta, "point_count", refuse)
+    message = "^order must be between 1 and %d$" % ZETA_ORDER_GUARD
+    for order in (ZETA_ORDER_GUARD + 1, 10**6):
+        with pytest.raises(ValueError, match=message):
+            log_derivative_series(z, order)
+        with pytest.raises(ValueError, match=message):
+            verify_zeta_counts(6, 1009, order)
 
 
 def test_factored_zeta_validation():
