@@ -373,7 +373,9 @@ def _power_base(m: int) -> int:
 
 
 def is_prime(m: int) -> bool:
-    """Exact primality; raises ValueError where no proof is at hand."""
+    """Exact primality; raises ValueError where no proof is at hand, or if
+    m is not an int."""
+    require_int("m", m)
     for p, square in _PRIME_SQUARES:
         if square > m:
             return m >= 2
@@ -382,13 +384,20 @@ def is_prime(m: int) -> bool:
     return _certify_prime(m)
 
 
-@lru_cache(maxsize=1024)
 def is_prime_power(m: int) -> bool:
-    """Is m = p^k for a prime p and k >= 1?  Raises ValueError if p cannot be
-    certified (it passes Miller-Rabin but lies above MILLER_RABIN_LIMIT).
+    """Is m = p^k for a prime p and k >= 1?  Raises ValueError if m is not
+    an int, or if p cannot be certified (it passes Miller-Rabin but lies
+    above MILLER_RABIN_LIMIT).
 
     Answers are memoized, since every per-q call validates its q again; a
-    raise is not, so an uncertifiable m raises on every call."""
+    raise is not, so an uncertifiable m raises on every call.  The type is
+    checked before the memo, which would answer 9.0 as it answers 9."""
+    require_int("m", m)
+    return _is_prime_power(m)
+
+
+@lru_cache(maxsize=1024)
+def _is_prime_power(m: int) -> bool:
     for p, square in _PRIME_SQUARES:
         if square > m:
             return m >= 2
@@ -397,6 +406,10 @@ def is_prime_power(m: int) -> bool:
                 m //= p
             return m == 1
     return _certify_prime(_power_base(m))
+
+
+is_prime_power.cache_info = _is_prime_power.cache_info
+is_prime_power.cache_clear = _is_prime_power.cache_clear
 
 
 def factorization_str(m: int) -> str:
@@ -440,7 +453,7 @@ def require_prime_power(q: int) -> None:
     require_int("q", q)
     if q < 2:
         raise ValueError("q = %r is not a prime power" % (q,))
-    if not is_prime_power(q):
+    if not _is_prime_power(q):
         raise ValueError(
             "q = %s = %s is not a prime power" % (_decimal(q), factorization_str(q))
         )

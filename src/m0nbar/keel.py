@@ -18,32 +18,89 @@ it is a polynomial in u = s + 1/s: with h = (n-3)//2,
     P_n = s^h R_n(u)            when n - 3 is even,
     P_n = (1 + s) s^h R_n(u)    when n - 3 is odd,
 
-and R_n has h + 1 coefficients.  The recurrence is run on the R_n, whose
-products are a quarter of the full convolution: (1 + s) P_n becomes R_n,
-or (u + 2) R_n for odd n - 3 since (1 + s)^2 = s (u + 2), and each product
-P_{j+1} P_{n-j+1} becomes R_{j+1} R_{n-j+1}, times (u + 2) when both rows
-have odd degree.  Both forms are palindromic whatever R is, so the rows
-stay palindromic by construction; each is turned back into powers of s by
-Horner's rule in u on its lower half, which is then mirrored.
+and R_n has h + 1 coefficients.  The recurrence holds at every value of
+s, hence of u: (1 + s) P_n becomes R_n, or (u + 2) R_n for odd n - 3
+since (1 + s)^2 = s (u + 2), and each product P_{j+1} P_{n-j+1} becomes
+R_{j+1} R_{n-j+1}, times (u + 2) when both rows have odd degree.  So the
+rows are built as values: each point u = x = 0, 1, ... keeps the values
+R_n(x) of every row, each new row is the recurrence run on those integers
+at each point, and its h + 1 coefficients are read back from its values at
+x = 0..h by exact interpolation.  A point first needed by a row runs the
+recurrence from row 3 up.  Each R is turned back into powers of s by
+Horner's rule in u on its lower half, which is then mirrored, so the rows
+are palindromic by construction.
 """
 
 from __future__ import annotations
 
-from math import comb
+from functools import lru_cache
+from itertools import repeat
+from math import comb, factorial
+from operator import add, mul, sub
 
-from .algebra import IntPoly, poly_eval, require_int, require_prime_power
+from .algebra import (
+    InexactDivisionError, IntPoly, poly_eval, require_int, require_prime_power,
+)
 from .report import make_report
 
-KEEL_MAX_N = 175  # rows up to n = 175 build cold in 2-3 s; the cost grows about as n^4
+KEEL_MAX_N = 175  # rows up to n = 175 build cold in about 0.5 s; the cost grows about as n^3.5
 
 
 # Row n is the coefficient tuple (a_0(n), ..., a_{n-3}(n)) of P_n.  Rows are
 # built bottom-up, so the keys are 3 up to the largest row built, and a row
 # is never mutated once stored.
 _ROWS = {3: (1,)}
-# _U_ROWS[n] holds the coefficients of R_n in rising powers of u, built in
-# the same loop and with the same keys as _ROWS.
-_U_ROWS = {3: (1,)}
+# _VALUES[x][n] = R_n(x) for every row n in _ROWS, one list per point
+# x = 0, 1, ..., at least as many points as the largest row has
+# coefficients; entries 0..2 of each list are unused.
+_VALUES = [[0, 0, 0, 1]]
+
+
+@lru_cache(maxsize=None)
+def _weights(m: int) -> tuple:
+    """The weights of the half-sum that builds row m + 1, for even j and for
+    odd j.  Terms j and m-j of the double sum are equal, so the half-sum is
+    the terms 2 <= j < m/2 at C(m, j) plus, for even m, the middle term at
+    half its weight, C(m, m/2) / 2 = C(m-1, m/2-1)."""
+    w = [comb(m - 1, j - 1) if 2 * j == m else comb(m, j) for j in range(2, m // 2 + 1)]
+    return w[::2], w[1::2]
+
+
+def _next_value(v: list, m: int, x: int) -> int:
+    """R_{m+1}(x) from the values v[k] = R_k(x) of the rows 3 <= k <= m.
+
+    The factor s of the double sum is absorbed by s^h, so each term is the
+    full product R_{j+1}(x) R_{m-j+1}(x).  For odd m, (1 + s) P_m adds R_m
+    and no term has two factors of odd degree; for even m, R_m and the
+    products of two odd rows (j and m-j odd) are multiplied by (x + 2)."""
+    even_w, odd_w = _weights(m)
+    top, stop = m // 2 + 2, m - m // 2
+    even = sum(map(mul, even_w, map(mul, v[3:top:2], v[m - 1:stop:-2])))
+    odd = sum(map(mul, odd_w, map(mul, v[4:top:2], v[m - 2:stop:-2])))
+    if m % 2:
+        return v[m] + even + odd
+    return even + (x + 2) * (v[m] + odd)
+
+
+def _interpolate(values) -> list:
+    """The integer coefficients, in rising powers of u, of the polynomial of
+    degree below len(values) that takes the values at u = 0, 1, ...; raises
+    InexactDivisionError if a coefficient is not an integer."""
+    # Newton's form at 0, 1, ...: the k-th forward difference at 0 is k!
+    # times the coefficient of the falling factorial u (u-1) ... (u-k+1)
+    newton, diffs = [], list(values)
+    for k in range(len(diffs)):
+        c, left = divmod(diffs[0], factorial(k))
+        if left:
+            raise InexactDivisionError(
+                "inexact interpolation: difference %d is %r" % (k, diffs[0]))
+        newton.append(c)
+        diffs = list(map(sub, diffs[1:], diffs))
+    # Horner's rule in the falling factorials: c_k + (u - k) (c_{k+1} + ...)
+    coeffs = [newton.pop()]
+    for k in range(len(newton) - 1, -1, -1):
+        coeffs = list(map(sub, [newton[k], *coeffs], [*map(mul, coeffs, repeat(k)), 0]))
+    return coeffs
 
 
 def _in_powers_of_s(r, odd: bool) -> IntPoly:
@@ -54,7 +111,7 @@ def _in_powers_of_s(r, odd: bool) -> IntPoly:
     # w[d] to w[d-1] + w[d+1], and the centre to twice w[1]
     w = [r[-1], 0, 0]
     for c in r[-2::-1]:
-        w = [2 * w[1] + c] + [a + b for a, b in zip(w, w[2:])] + [0, 0]
+        w = [2 * w[1] + c, *map(add, w, w[2:]), 0, 0]
     low = w[-3::-1]  # a_0 .. a_h of s^h R(u)
     if odd:
         low = low[:1] + [a + b for a, b in zip(low, low[1:])]
@@ -79,35 +136,24 @@ def poincare_poly(n: int) -> IntPoly:
         raise ValueError("n must be >= 3")
     if n > KEEL_MAX_N:
         raise ValueError("n = %d exceeds the Keel row bound (%d)" % (n, KEEL_MAX_N))
-    rows, us = _ROWS, _U_ROWS
-    for m in range(len(rows) + 2, n):
-        # R_{m+1} has m//2 coefficients.  For odd m, (1 + s) P_m adds R_m
-        # and no term of the double sum has two factors of odd degree.  For
-        # even m, (1 + s)^2 = s (u + 2), so R_m and the products of two odd
-        # rows (j and m-j odd) are summed apart and multiplied by (u + 2)
-        # once.
-        if m % 2:
-            acc, paired = list(us[m]), None
-        else:
-            acc, paired = [0] * (m // 2), list(us[m])
-        # Terms j and m-j of the double sum are equal, so the half-sum is
-        # the terms j < m/2 plus, for even m, half the middle term, whose
-        # weight C(m, m/2) / 2 is C(m-1, m/2-1).  The factor s is absorbed
-        # by s^h, so each term is the full product R_{j+1} R_{m-j+1}.
-        for j in range(2, m // 2 + 1):
-            weight = comb(m - 1, j - 1) if 2 * j == m else comb(m, j)
-            target = paired if j % 2 and (m - j) % 2 else acc
-            longer = us[m - j + 1]
-            for i, c in enumerate(us[j + 1]):
-                c *= weight
-                for k, d in enumerate(longer, i):
-                    target[k] += c * d
-        if paired is not None:
-            for k, d in enumerate(paired):
-                acc[k] += 2 * d
-                acc[k + 1] += d
-        us[m + 1] = tuple(acc)
-        rows[m + 1] = _in_powers_of_s(acc, m % 2 == 1)
+    rows, values = _ROWS, _VALUES
+    last = len(rows) + 2
+    # R_n has (n - 1)//2 coefficients, so rows up to n need that many
+    # points; new points catch up from row 3 to the last row built
+    fresh = [[0, 0, 0, 1] for _ in range(len(values), (n - 1) // 2)]
+    for x, v in enumerate(fresh, len(values)):
+        for m in range(3, last):
+            v.append(_next_value(v, m, x))
+    points = values + fresh
+    for m in range(last, n):
+        ys = [_next_value(v, m, x) for x, v in enumerate(points)]
+        row = _in_powers_of_s(_interpolate(ys[:m // 2]), m % 2 == 1)
+        # commit only now, the values first and by index, so that a build
+        # cut short leaves the tables as they were or is redone
+        for v, y in zip(points, ys):
+            v[m + 1:] = (y,)
+        values[:] = points
+        rows[m + 1] = row
     return rows[n]
 
 

@@ -243,6 +243,16 @@ def test_prime_powers():
     assert factorization_str(12) == "2^2 * 3"
 
 
+def test_prime_checks_refuse_non_ints():
+    for m in (2.5, 7.5, 9.0):
+        for check in (is_prime, is_prime_power):
+            with pytest.raises(ValueError, match=r"^m = %r is not an int" % m):
+                check(m)
+    # the int answers are unchanged, the memoized ones included
+    assert [is_prime(m) for m in (2, 7, 9)] == [True, True, False]
+    assert [is_prime_power(m) for m in (2, 7, 9, 10)] == [True, True, True, False]
+
+
 def test_prime_power_memo_keeps_every_check():
     require_prime_power(5)
     require_prime_power(9)

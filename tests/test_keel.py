@@ -1,11 +1,12 @@
 import hashlib
+import random
 import time
 from math import comb
 
 import pytest
 
 from m0nbar import keel
-from m0nbar.algebra import poly_add, poly_mul, poly_scale
+from m0nbar.algebra import InexactDivisionError, poly_add, poly_eval, poly_mul, poly_scale
 from m0nbar.keel import (
     KEEL_MAX_N,
     betti,
@@ -122,11 +123,13 @@ def test_rows_beyond_the_bound_are_refused_before_any_is_built():
     # the rows test_rows_digest_pinned covers stay inside the bound
     assert KEEL_MAX_N >= 150
     built = len(keel._ROWS)
+    values = [list(v) for v in keel._VALUES]
     start = time.perf_counter()
     with pytest.raises(ValueError, match=r"Keel row bound \(%d\)" % KEEL_MAX_N):
         poincare_poly(KEEL_MAX_N + 1)
     assert time.perf_counter() - start < 0.01
     assert len(keel._ROWS) == built
+    assert keel._VALUES == values
     assert poincare_poly(4) == (1, 1)
 
 
@@ -135,9 +138,70 @@ def test_rows_beyond_the_bound_are_refused_before_any_is_built():
 ROWS_3_TO_150_SHA256 = "303e9911b2f2b9dc15dd8a1f5f656552ed5fd3727e72316fe9cc8e12139baeee"
 
 
-def test_rows_digest_pinned():
+def _rows_digest():
     text = "\n".join(",".join(map(str, poincare_poly(k))) for k in range(3, 151))
-    assert hashlib.sha256(text.encode()).hexdigest() == ROWS_3_TO_150_SHA256
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_rows_digest_pinned():
+    assert _rows_digest() == ROWS_3_TO_150_SHA256
+
+
+def _empty_tables(monkeypatch):
+    monkeypatch.setattr(keel, "_ROWS", {3: (1,)})
+    monkeypatch.setattr(keel, "_VALUES", [[0, 0, 0, 1]])
+
+
+@pytest.mark.parametrize("calls", [(150,), tuple(range(3, 151)), (60, 150)],
+                         ids=["cold", "rising", "points-added-to-a-deep-table"])
+def test_every_build_order_gives_the_pinned_rows(monkeypatch, calls):
+    _empty_tables(monkeypatch)
+    for n in calls:
+        poincare_poly(n)
+    assert len(keel._ROWS) == 148 and len(keel._VALUES) == 74
+    assert _rows_digest() == ROWS_3_TO_150_SHA256
+
+
+@pytest.mark.parametrize("fail_at, error", [(1, KeyboardInterrupt), (5, InexactDivisionError)])
+def test_a_failed_build_leaves_whole_rows(monkeypatch, fail_at, error):
+    _empty_tables(monkeypatch)
+    poincare_poly(40)
+    rows, values = dict(keel._ROWS), [list(v) for v in keel._VALUES]
+    interpolate, calls = keel._interpolate, []
+
+    def fail_once(ys):
+        calls.append(len(ys))
+        if len(calls) == fail_at:
+            raise error("cut short")
+        return interpolate(ys)
+
+    monkeypatch.setattr(keel, "_interpolate", fail_once)
+    with pytest.raises(error):
+        poincare_poly(80)
+    # the rows before the failing one are committed whole, and only they;
+    # every point holds the values of exactly the rows in _ROWS
+    last = 40 + fail_at - 1
+    assert list(keel._ROWS) == list(range(3, last + 1))
+    assert all(keel._ROWS[n] == row for n, row in rows.items())
+    if last == 40:
+        assert keel._VALUES == values
+    assert all(len(v) == last + 1 for v in keel._VALUES)
+    assert len(keel._VALUES) >= (last - 1) // 2
+    assert _rows_digest() == ROWS_3_TO_150_SHA256
+
+
+def test_interpolation_is_exact():
+    rng = random.Random(19)
+    for degree in range(40):
+        coeffs = [rng.randint(-2**200, 2**200) for _ in range(degree + 1)]
+        values = [poly_eval(coeffs, x) for x in range(degree + 1)]
+        assert keel._interpolate(values) == coeffs, degree
+        # more points than coefficients give zeros above the degree
+        more = values + [poly_eval(coeffs, degree + 1 + x) for x in range(3)]
+        assert keel._interpolate(more) == coeffs + [0, 0, 0], degree
+    # 0, 1, 3 at u = 0, 1, 2 is u (u + 1) / 2, which has no integer coefficients
+    with pytest.raises(InexactDivisionError):
+        keel._interpolate((0, 1, 3))
 
 
 def _unpaired_rows(n_max):
@@ -188,10 +252,14 @@ def test_kernel_in_u_matches_the_half_row_kernel():
 def test_rows_in_u_are_positive_and_expand_to_the_rows():
     poincare_poly(60)
     for n in range(3, 61):
-        r = keel._U_ROWS[n]
         h = (n - 3) // 2
+        values = [v[n] for v in keel._VALUES]
+        r = keel._interpolate(values[:h + 1])
         assert len(r) == h + 1, n
         assert all(c > 0 for c in r), n
+        # the recurrence holds at every point, so the values at the points
+        # beyond x = h lie on the same polynomial
+        assert keel._interpolate(values) == r + [0] * (len(values) - h - 1), n
         # s^h R(u) = sum_k r_k (1 + s^2)^k s^(h-k), expanded with poly_mul
         row = ()
         for k, c in enumerate(r):
