@@ -167,8 +167,7 @@ class BiSeries:
     coeffs: tuple
 
     def __post_init__(self):
-        if self.order < 0:
-            raise ValueError("truncation order must be >= 0")
+        require_size("truncation order", self.order, 0)
         coeffs = tuple(normalize(c) for c in self.coeffs)
         if len(coeffs) != self.order:
             raise ValueError(
@@ -384,20 +383,16 @@ def is_prime(m: int) -> bool:
     return _certify_prime(m)
 
 
+@lru_cache(maxsize=1024, typed=True)
 def is_prime_power(m: int) -> bool:
     """Is m = p^k for a prime p and k >= 1?  Raises ValueError if m is not
     an int, or if p cannot be certified (it passes Miller-Rabin but lies
     above MILLER_RABIN_LIMIT).
 
     Answers are memoized, since every per-q call validates its q again; a
-    raise is not, so an uncertifiable m raises on every call.  The type is
-    checked before the memo, which would answer 9.0 as it answers 9."""
+    raise is not, so an uncertifiable m raises on every call.  The memo is
+    typed, as strata_table's is, so 9.0 never reads the entry of 9."""
     require_int("m", m)
-    return _is_prime_power(m)
-
-
-@lru_cache(maxsize=1024)
-def _is_prime_power(m: int) -> bool:
     for p, square in _PRIME_SQUARES:
         if square > m:
             return m >= 2
@@ -406,10 +401,6 @@ def _is_prime_power(m: int) -> bool:
                 m //= p
             return m == 1
     return _certify_prime(_power_base(m))
-
-
-is_prime_power.cache_info = _is_prime_power.cache_info
-is_prime_power.cache_clear = _is_prime_power.cache_clear
 
 
 def factorization_str(m: int) -> str:
@@ -439,6 +430,16 @@ def require_int(name: str, value) -> None:
         raise ValueError("%s = %r is not an int" % (name, value))
 
 
+def require_size(name: str, value, least: int, guard: int = None, bound: str = "") -> None:
+    """Reject a size that is not an int from least up to guard, naming it;
+    bound names the guard, as in "n = 176 exceeds the Keel row bound (175)"."""
+    require_int(name, value)
+    if value < least:
+        raise ValueError("%s must be >= %d" % (name, least))
+    if guard is not None and value > guard:
+        raise ValueError("%s = %d exceeds %s (%d)" % (name, value, bound, guard))
+
+
 def require_order(order, least: int, guard: int) -> None:
     """Reject an order that is not an int from least to guard, naming both."""
     require_int("order", order)
@@ -453,7 +454,7 @@ def require_prime_power(q: int) -> None:
     require_int("q", q)
     if q < 2:
         raise ValueError("q = %r is not a prime power" % (q,))
-    if not _is_prime_power(q):
+    if not is_prime_power(q):
         raise ValueError(
             "q = %s = %s is not a prime power" % (_decimal(q), factorization_str(q))
         )

@@ -30,6 +30,7 @@ from .algebra import (
     require_order,
     require_prime,
     require_prime_power,
+    require_size,
 )
 from .forget import verify_fiber_sum, verify_lemma3, verify_lemma4
 from .report import make_report
@@ -314,8 +315,8 @@ def cmd_verify(args):
     _reject_format(args.format, "verify", ("plain", "json", "csv"))
     qs = _parse_q_list(args.q) if args.q is not None else None
     least = 4 if args.target in ("recurrence", "all") else 3  # recurrence starts at n = 4
-    if args.max_n is not None and args.max_n < least:
-        raise ValueError("max-n must be >= %d" % least)
+    if args.max_n is not None:
+        require_size("max-n", args.max_n, least)
     reports = _verify_reports(args.target, args.max_n, qs, args.order)
     failed = sum(not r.passed for r in reports)
     code = 1 if failed else 0

@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .algebra import poly_eval, require_int, require_prime_power
+from .algebra import poly_eval, require_int, require_prime_power, require_size
 from .keel import glued_pair_count
 from .report import VerificationReport, make_report
 from .strata import DualTree, boundary_edge_sum, stratified_count, stratum_census
@@ -32,9 +32,7 @@ def fiber_size(k_rho: int, q: int) -> int:
     point sits at one of the q+1-n free points of the line or sprouts a new
     component at one of the n marked points.
     """
-    require_int("k_rho", k_rho)
-    if k_rho < 0:
-        raise ValueError("k_rho must be >= 0")
+    require_size("k_rho", k_rho, 0)
     require_prime_power(q)
     return (q + 1) + q * k_rho
 
@@ -90,8 +88,7 @@ def verify_lemma4(n: int, q: int) -> VerificationReport:
     pointed curves with j+1 and n-j+1 special points, so both sides count
     the pairs (curve, node) over F_q.
     """
-    if n < 4:
-        raise ValueError("n must be >= 4")
+    require_size("n", n, 4)
     return make_report("lemma4", {"n": n, "q": q}, boundary_edge_sum(n, q), glued_pair_count(n, q))
 
 

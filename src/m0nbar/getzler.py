@@ -43,8 +43,8 @@ from .algebra import (
     poly_scale,
     poly_str,
     poly_sub,
-    require_int,
     require_order,
+    require_size,
     series_compose,
 )
 from .keel import poincare_poly
@@ -140,11 +140,10 @@ def open_homology_dims(n: int) -> HomologyDims:
 
     The coefficient times -n! is sum_i (-1)^i dims[i] s^(n-2-i); there must
     be n - 1 values and each must come out nonnegative, or the expansion is
-    broken and this raises.
+    broken and this raises.  n is capped at SERIES_ORDER_GUARD, as the
+    series are.
     """
-    require_int("n", n)
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    require_size("n", n, 2, SERIES_ORDER_GUARD, "the series order guard")
     dims = tuple((-1) ** i * c for i, c in enumerate(reversed(_open_poly(n))))
     if len(dims) != n - 1 or min(dims) < 0:
         raise ArithmeticError("homology dimension extraction failed at n=%d: %r" % (n, dims))

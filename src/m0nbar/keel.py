@@ -39,7 +39,7 @@ from math import comb, factorial
 from operator import add, mul, sub
 
 from .algebra import (
-    InexactDivisionError, IntPoly, poly_eval, require_int, require_prime_power,
+    InexactDivisionError, IntPoly, poly_eval, require_int, require_prime_power, require_size,
 )
 from .report import make_report
 
@@ -128,14 +128,11 @@ def betti(n: int, k: int) -> int:
 
 def poincare_poly(n: int) -> IntPoly:
     """P_n as a polynomial in s = t^2; degree is exactly n-3."""
-    require_int("n", n)
+    require_int("n", n)  # before the lookup: 5.0 hashes like 5 and would read row 5
     row = _ROWS.get(n)
     if row is not None:
         return row
-    if n < 3:
-        raise ValueError("n must be >= 3")
-    if n > KEEL_MAX_N:
-        raise ValueError("n = %d exceeds the Keel row bound (%d)" % (n, KEEL_MAX_N))
+    require_size("n", n, 3, KEEL_MAX_N, "the Keel row bound")
     rows, values = _ROWS, _VALUES
     last = len(rows) + 2
     # R_n has (n - 1)//2 coefficients, so rows up to n need that many
@@ -184,9 +181,7 @@ def verify_count_recurrence(n_max: int, q: int) -> list:
         |Mbar_{0,n+1}| = (1+q) |Mbar_{0,n}| + q * glued_pair_count(n, q).
     Returns one VerificationReport per n+1.
     """
-    require_int("n_max", n_max)
-    if n_max < 4:
-        raise ValueError("n_max must be >= 4")
+    require_size("n_max", n_max, 4)
     require_prime_power(q)
     reports = []
     for m in range(4, n_max + 1):

@@ -44,7 +44,8 @@ from functools import lru_cache, reduce
 from math import factorial, prod
 from operator import attrgetter, itemgetter
 
-from .algebra import IntPoly, is_prime, poly_eval, poly_mul, require_int, require_prime_power
+from .algebra import (IntPoly, is_prime, poly_eval, poly_mul, require_int,
+                      require_prime_power, require_size)
 
 ORBIT_GUARD_MAX_Q = 7   # (q+1)!/(q+1-n)! canonicalizations; 8!/1 worst case
 CENSUS_MAX_N = 20       # cold, the census takes 0.4 s and 17 MB at n = 20, 1.1-1.4 s at n = 22
@@ -387,11 +388,10 @@ def open_stratum_poly(m: int) -> IntPoly:
     The group is simply transitive on ordered triples of distinct points,
     which pins the first three points at (0, 1, oo) and leaves the product
     prod_{j=2}^{m-2} (q - j) of remaining choices; the empty product (m = 3)
-    is 1.  The memo is typed, as strata_table's is.
+    is 1.  The memo is typed, as strata_table's is, and m is capped at
+    CENSUS_MAX_N, the largest valence any census or table reads.
     """
-    require_int("m", m)
-    if m < 3:
-        raise ValueError("m must be >= 3")
+    require_size("m", m, 3, CENSUS_MAX_N, "the stratum census guard")
     poly = (1,)
     for j in range(2, m - 1):
         poly = poly_mul(poly, (-j, 1))
@@ -441,12 +441,7 @@ def strata_table(n: int) -> tuple:
     valences the generator carries, and its tree from the serial.  The
     memo is typed, so 5.0 never reads the entry of 5 and is refused here.
     """
-    require_int("n", n)
-    if n < 3:
-        raise ValueError("n must be >= 3")
-    if n > ENUMERATION_MAX_N:
-        raise ValueError("n = %d exceeds the stratum enumeration bound (%d)"
-                         % (n, ENUMERATION_MAX_N))
+    require_size("n", n, 3, ENUMERATION_MAX_N, "the stratum enumeration bound")
     rows = [_table_row(serial, valences) for serial, _, _, _, valences in _centres(n)]
     # stable sorts on one key each, strings then ints, beat one sort on pairs
     rows.sort(key=attrgetter("tree.serial"))
@@ -460,13 +455,7 @@ def stratum_census(n: int) -> tuple:
 
     Built from the nested splits alone: no tree is numbered or serialized.
     The memo is typed, as strata_table's is."""
-    require_int("n", n)
-    if n < 3:
-        raise ValueError("n must be >= 3")
-    if n > CENSUS_MAX_N:
-        raise ValueError(
-            "n = %d exceeds the stratum census guard (%d)" % (n, CENSUS_MAX_N)
-        )
+    require_size("n", n, 3, CENSUS_MAX_N, "the stratum census guard")
     census = Counter()
     for valences, mult in _valence_types(n - 1).items():
         census[_count_poly(valences), len(valences) - 1] += mult
@@ -539,10 +528,10 @@ def orbit_count_direct(n: int, q: int) -> int:
     mod p) and guards q <= 7, which caps the enumeration at 8!/1 = 40320
     configurations.
     """
+    # both types before n's range, so a call with two bad arguments names n
     require_int("n", n)
     require_int("q", q)
-    if n < 3:
-        raise ValueError("n must be >= 3")
+    require_size("n", n, 3)
     if not is_prime(q):
         raise ValueError(
             "explicit orbit enumeration supports prime fields only, not q = %d" % q

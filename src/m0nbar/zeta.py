@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import require_int, require_order, require_prime
-from .keel import betti, point_count
+from .algebra import require_int, require_order, require_prime, require_size
+from .keel import KEEL_MAX_N, betti, point_count
 from .report import make_report
 
 # largest order of the point-count series, measured to answer in about 1.5 s:
@@ -47,18 +47,15 @@ class FactoredZeta:
 
 
 def zeta_projective(n_dim: int, p: int) -> FactoredZeta:
-    """Z_{P^n} = 1/((1-T)(1-pT)...(1-p^n T))."""
-    require_int("n_dim", n_dim)
-    if n_dim < 0:
-        raise ValueError("n_dim must be >= 0")
+    """Z_{P^n} = 1/((1-T)(1-pT)...(1-p^n T)), for n up to KEEL_MAX_N - 3, the
+    largest dimension of any Mbar_{0,n} the package builds."""
+    require_size("n_dim", n_dim, 0, KEEL_MAX_N - 3, "the dimension at the Keel row bound")
     return FactoredZeta(p, tuple((j, 1) for j in range(n_dim + 1)))
 
 
 def zeta_moduli(n: int, p: int) -> FactoredZeta:
     """Z_{Mbar_{0,n}}: exponent at p^j is the Betti number b_{2j}."""
-    require_int("n", n)
-    if n < 3:
-        raise ValueError("n must be >= 3")
+    require_size("n", n, 3)
     return FactoredZeta(p, tuple((j, betti(n, j)) for j in range(n - 2)))
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction
 from math import factorial
@@ -139,6 +140,13 @@ def test_series_validation():
     for bad in (Fraction(1, 2), Fraction(1), 1.0, "1"):
         with pytest.raises(ValueError, match="must be integer polynomials"):
             BiSeries(2, ((), (0, bad)))
+    # the order is a nonnegative int, even where its value fits the coefficients
+    for bad in (4.0, Fraction(4), "4", None):
+        with pytest.raises(ValueError, match="^truncation order = %s is not an int$"
+                                             % re.escape(repr(bad))):
+            BiSeries(bad, ((),) * 4)
+    with pytest.raises(ValueError, match="^truncation order must be >= 0$"):
+        BiSeries(-1, ())
 
 
 def test_compose_identity_both_sides():
@@ -226,6 +234,7 @@ def test_poly_str():
     assert poly_str(intpoly(-2, 1), "q", descending=True) == "q - 2"
     assert poly_str(intpoly(6, -5, 1), "q", descending=True) == "q^2 - 5*q + 6"
     assert poly_str((), "q") == "0"
+    assert poly_str((0, 1)) == "s"
     assert poly_str((Fraction(1, 3), Fraction(-1, 6)), "s") == "1/3 - 1/6*s"
     assert poly_str(intpoly(1, 16), "t", power_scale=2, latex=True) == "1 + 16t^{2}"
 
@@ -241,6 +250,10 @@ def test_prime_powers():
     with pytest.raises(ValueError):
         require_prime_power(1)
     assert factorization_str(12) == "2^2 * 3"
+    assert factorization_str(1) == "1"
+    for p in (1, 0):
+        with pytest.raises(ValueError, match="^p = %d is not prime$" % p):
+            require_prime(p)
 
 
 def test_prime_checks_refuse_non_ints():
@@ -251,6 +264,17 @@ def test_prime_checks_refuse_non_ints():
     # the int answers are unchanged, the memoized ones included
     assert [is_prime(m) for m in (2, 7, 9)] == [True, True, False]
     assert [is_prime_power(m) for m in (2, 7, 9, 10)] == [True, True, True, False]
+
+
+def test_prime_power_memo_is_typed():
+    # 9.0 and 1.0 hash like 9 and True; an untyped memo keys a lone int by
+    # itself, but True, an int of another type, by a tuple that (1.0,) equals,
+    # so without types it would answer 1.0 from True's entry
+    assert is_prime_power(9) and not is_prime_power(True)
+    for bad in (9.0, 1.0, Fraction(1)):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^m = %s is not an int$" % re.escape(repr(bad))):
+                is_prime_power(bad)
 
 
 def test_prime_power_memo_keeps_every_check():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from m0nbar import forget, getzler, strata
+from m0nbar import forget, getzler, strata, zeta
 from m0nbar.algebra import is_prime_power, poly_eval, require_prime, require_prime_power
 from m0nbar.forget import (
     FiberBreakdown,
@@ -14,8 +14,9 @@ from m0nbar.forget import (
     verify_lemma3,
     verify_lemma4,
 )
-from m0nbar.getzler import open_homology_dims, series_f, series_g
+from m0nbar.getzler import SERIES_ORDER_GUARD, open_homology_dims, series_f, series_g
 from m0nbar.keel import (
+    KEEL_MAX_N,
     betti,
     glued_pair_count,
     poincare_poly,
@@ -163,6 +164,7 @@ def test_entry_points_reject_non_int_n_every_call():
         (lambda n: orbit_count_direct(n, 5), "n"),
         # verify_lemma3 reads the census at n + 1, so it must name n, not n + 1
         (lambda n: verify_lemma3(n, 2), "n"),
+        (lambda n: verify_lemma4(n, 2), "n"),
     )
     for call, name in entry_points:
         for _ in range(2):
@@ -172,6 +174,31 @@ def test_entry_points_reject_non_int_n_every_call():
                                                                    % (name, bad))):
                     call(bad)
             call(5)
+
+
+def test_size_guards_refuse_before_any_work(monkeypatch):
+    # each guard value is answered; one past it is refused by name before a
+    # single factor is built, however large the size
+    assert len(open_stratum_poly(CENSUS_MAX_N)) == CENSUS_MAX_N - 2
+    assert len(open_homology_dims(SERIES_ORDER_GUARD).dims) == SERIES_ORDER_GUARD - 1
+    assert len(zeta_projective(KEEL_MAX_N - 3, 2).factors) == KEEL_MAX_N - 2
+
+    def refuse(*args):
+        raise AssertionError("work was done past the guard")
+
+    monkeypatch.setattr(strata, "poly_mul", refuse)
+    monkeypatch.setattr(getzler, "_open_poly", refuse)
+    monkeypatch.setattr(zeta, "FactoredZeta", refuse)
+    guarded = (
+        (open_stratum_poly, "m", CENSUS_MAX_N, "the stratum census guard"),
+        (open_homology_dims, "n", SERIES_ORDER_GUARD, "the series order guard"),
+        (lambda n: zeta_projective(n, 2), "n_dim", KEEL_MAX_N - 3,
+         "the dimension at the Keel row bound"),
+    )
+    for call, name, guard, bound in guarded:
+        with pytest.raises(ValueError, match="^" + re.escape(
+                "%s = %d exceeds %s (%d)" % (name, guard + 1, bound, guard)) + "$"):
+            call(guard + 1)
 
 
 def test_lemma3_hand_values():

@@ -104,6 +104,13 @@ def test_series_order_guard_refuses_before_any_work(monkeypatch):
                 call(order)
 
 
+def test_homology_dims_refuse_a_negative_dimension(monkeypatch):
+    # an open polynomial 2 + s reads as dims (1, -2), which no space has
+    monkeypatch.setattr(getzler, "_open_poly", lambda n: (2, 1))
+    with pytest.raises(ArithmeticError, match="extraction failed at n=3"):
+        open_homology_dims(3)
+
+
 def test_inverse_hand_order_three():
     # x^2 of f(g): 1/2 - 1/2; x^3: -(s-2)/6 - 1/2*2*(-1/2)... all cancel
     f, g = series_f(3), series_g(3)
