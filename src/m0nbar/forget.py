@@ -54,21 +54,27 @@ def fiber_size_breakdown(tree: DualTree, q: int):
     exceeds q+1: such a component cannot hold its special points over F_q,
     the stratum has no F_q-points, and no breakdown is meaningful.  Each
     edge at a vertex leads to at least two legs, so no valence exceeds n,
-    and for q + 1 >= n the valences are not read.  q is validated on every
-    call; the breakdown itself depends on (n, k(rho), q) alone, so
-    _breakdown builds each one once and every tree of that kind shares it.
+    and for q + 1 >= n the valences are not read.  The breakdown depends
+    on (n, k(rho), q) alone, so _breakdown builds each one once, checking
+    q as it does, and every tree of that kind shares it.  It is read
+    before q + 1 is taken, so q + 1 never runs on an unchecked q.
     """
-    require_prime_power(q)
-    n = tree.n_legs
+    n, k = len(tree.legs), len(tree.edges)
+    found = _breakdown(n, k, q)
     if q + 1 < n and max(tree.valences()) > q + 1:
         return None
-    return _breakdown(n, tree.edge_count, q)
+    return found
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=4096, typed=True)
 def _breakdown(n: int, k: int, q: int) -> FiberBreakdown:
-    """The FiberBreakdown of a nonempty stratum with n legs and k nodes; the
-    last 4096 are kept, and a NamedTuple is immutable, so callers share it."""
+    """The FiberBreakdown of a stratum with n legs and k nodes; the last
+    4096 are kept, and a NamedTuple is immutable, so callers share it.
+
+    q is checked here, on a miss; a raise is never cached, so a refused q
+    is refused on every call, and the memo is typed, so 9.0, Fraction(9)
+    and True are checked as themselves, never answered from an int's entry."""
+    require_prime_power(q)
     same = (k + 1) * (q + 1) - n - 2 * k
     return FiberBreakdown(k, q, same, n, k, same + n + k)
 

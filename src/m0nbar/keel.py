@@ -165,11 +165,14 @@ def glued_pair_count(n: int, q: int) -> int:
 
     Terms j and n-j are equal, so this is the terms j < n/2 plus, for even
     n, the middle term at its half weight C(n, n/2) / 2 = C(n-1, n/2-1).
+    n and q are checked once, here, so n = 3, which has no terms and gives
+    0, refuses a bad q too, and each term reads the rows at q directly.
     """
-    require_int("n", n)
+    require_size("n", n, 3)
+    require_prime_power(q)
     return sum(
         (comb(n - 1, j - 1) if 2 * j == n else comb(n, j))
-        * point_count(j + 1, q) * point_count(n - j + 1, q)
+        * poly_eval(poincare_poly(j + 1), q) * poly_eval(poincare_poly(n - j + 1), q)
         for j in range(2, n // 2 + 1)
     )
 

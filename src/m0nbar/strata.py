@@ -103,10 +103,6 @@ class DualTree:
         return edges if name == "edges" else legs
 
     @property
-    def n_legs(self) -> int:
-        return len(self.legs)
-
-    @property
     def edge_count(self) -> int:
         return len(self.edges)
 
@@ -465,28 +461,28 @@ def stratum_census(n: int) -> tuple:
 def stratified_count(n: int, q: int) -> int:
     """|Mbar_{0,n}(F_q)| summed stratum by stratum over all dual trees.
 
-    q is validated on every call; the sum itself is read from
-    _census_sums, which walks the census once per (n, q)."""
-    require_int("n", n)
-    require_prime_power(q)
+    n and q are checked by _census_sums, which this and boundary_edge_sum
+    read, on every call that misses it; a refused n or q is never kept."""
     return _census_sums(n, q)[0]
 
 
 def boundary_edge_sum(n: int, q: int) -> int:
     """Sum of k(rho) over the F_q-points rho of the boundary strata."""
-    require_int("n", n)
-    require_prime_power(q)
     return _census_sums(n, q)[1]
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=4096, typed=True)
 def _census_sums(n: int, q: int) -> tuple:
     """(sum of |rho(F_q)|, sum of k(rho) |rho(F_q)|) over the strata rho of
     Mbar_{0,n}, from one walk of stratum_census(n).
 
-    Callers validate n and q first, so only ints become keys.  The
-    last 4096 pairs are kept, which covers every n <= 7 at 800 values of q;
-    a census guard raise is never cached, so it repeats on every call."""
+    n and q are checked here, on a miss; a raise is never cached, so a
+    refused n or q, or a census guard, is refused on every call.  The memo
+    is typed, so 9.0, Fraction(9) and True are checked as themselves,
+    never answered from an int's entry.  The last 4096 pairs are kept,
+    which covers every n <= 7 at 800 values of q."""
+    require_int("n", n)
+    require_prime_power(q)
     count = edge_sum = 0
     for (poly, edges), mult in stratum_census(n):
         value = mult * poly_eval(poly, q)

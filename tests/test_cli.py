@@ -391,7 +391,12 @@ def test_verify_zeta_digit_estimate_bounds_the_printed_digits(capsys):
         assert printed <= estimate < 1.3 * printed, (max_n, q, order)
 
 
-def test_keel_row_bound(capsys):
+def test_keel_row_bound(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a row was built past the bound")
+
+    # a guard that let n through would fail here at once, not build 100000 rows
+    monkeypatch.setattr(keel, "_next_value", refuse)
     message = "error: n = 100000 exceeds the Keel row bound (%d)\n" % keel.KEEL_MAX_N
     for argv in (("poincare", "--n", "100000"), ("betti", "--n", "100000", "--k", "1"),
                  ("count", "--n", "100000", "--q", "2")):

@@ -128,6 +128,7 @@ def test_per_q_entry_points_reject_bad_q_every_call():
         lambda q: verify_count_recurrence(5, q),
         lambda q: verify_lemma3(5, q),
         lambda q: verify_lemma4(5, q),
+        lambda q: glued_pair_count(3, q),   # no terms, so only its own check sees q
     )
     # refusals repeat before and after the valid calls that fill the memos
     for call in entry_points:
@@ -139,6 +140,38 @@ def test_per_q_entry_points_reject_bad_q_every_call():
                 call(2**89 - 1)   # a prime past the reach of certification
             call(5)
             call(9973)
+
+
+def test_glued_pair_count_refuses_small_n():
+    assert glued_pair_count(3, 2) == 0   # the recurrence at m = 4 reads it
+    for bad in (2, -5):
+        with pytest.raises(ValueError, match="^n must be >= 3$"):
+            glued_pair_count(bad, 2)
+
+
+def test_checking_memos_refuse_after_a_valid_call():
+    # the memo keys are checked on a miss only: a raise is never cached, and
+    # typed keys keep 9.0, Fraction(9) and True from the entries of 9 and 1
+    tree = make_tree(1, [], {1: 0, 2: 0, 3: 0})
+    memos = (forget._breakdown, strata._census_sums)
+    entry_points = (
+        lambda q: fiber_size_breakdown(tree, q),
+        lambda q: stratified_count(5, q),
+        lambda q: boundary_edge_sum(5, q),
+    )
+    for call in entry_points:
+        call(9)
+        sizes = [memo.cache_info().currsize for memo in memos]
+        for _ in range(2):
+            for bad in (9.0, Fraction(9), "9", None):
+                with pytest.raises(ValueError, match="^" + re.escape("q = %r is not an int"
+                                                                   % (bad,)) + "$"):
+                    call(bad)
+            with pytest.raises(ValueError, match="^q = True is not a prime power$"):
+                call(True)
+            with pytest.raises(TypeError):
+                call([9])   # unhashable, so no memo key
+        assert [memo.cache_info().currsize for memo in memos] == sizes
 
 
 def test_entry_points_reject_non_int_n_every_call():
@@ -199,6 +232,23 @@ def test_size_guards_refuse_before_any_work(monkeypatch):
         with pytest.raises(ValueError, match="^" + re.escape(
                 "%s = %d exceeds %s (%d)" % (name, guard + 1, bound, guard)) + "$"):
             call(guard + 1)
+
+
+def test_breakdown_checks_each_key_once(monkeypatch):
+    checked = []
+
+    def counting(q):
+        checked.append(q)
+        require_prime_power(q)
+
+    trees = [row.tree for row in strata_table(6)]
+    assert len(trees) == 236
+    want = [fiber_size(tree.edge_count, 9973) for tree in trees]
+    monkeypatch.setattr(forget, "require_prime_power", counting)
+    forget._breakdown.cache_clear()
+    for _ in range(2):
+        assert [fiber_size_breakdown(tree, 9973).total for tree in trees] == want
+    assert checked == [9973] * 4   # one per k = 0..3
 
 
 def test_lemma3_hand_values():
