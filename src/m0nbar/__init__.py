@@ -11,7 +11,6 @@ from .algebra import (
     IntPoly,
     intpoly,
     poly_add,
-    poly_div_exact,
     poly_eval,
     poly_mul,
     poly_str,
@@ -82,7 +81,6 @@ __all__ = [
     "point_count",
     "poincare_poly",
     "poly_add",
-    "poly_div_exact",
     "poly_eval",
     "poly_mul",
     "poly_str",

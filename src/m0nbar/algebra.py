@@ -25,7 +25,7 @@ IntPoly = tuple
 
 
 class InexactDivisionError(ArithmeticError):
-    """Polynomial division left a nonzero remainder where none was expected."""
+    """An integer division that must be exact left a nonzero remainder."""
 
 
 def normalize(coeffs) -> tuple:
@@ -54,10 +54,6 @@ def poly_neg(a) -> tuple:
     return tuple(-c for c in a)
 
 
-def poly_sub(a, b) -> tuple:
-    return poly_add(a, poly_neg(b))
-
-
 def poly_mul(a, b) -> tuple:
     if not a or not b:
         return ()
@@ -80,34 +76,6 @@ def poly_eval(p, x):
     for c in reversed(p):
         acc = acc * x + c
     return acc
-
-
-def poly_div_exact(num: IntPoly, den: IntPoly) -> IntPoly:
-    """Divide two integer polynomials, demanding an integer quotient and a
-    zero remainder.
-
-    A remainder signals a math bug upstream, so it raises
-    InexactDivisionError instead of returning a quotient/remainder pair.
-    """
-    num, den = normalize(num), normalize(den)
-    if not den:
-        raise ZeroDivisionError("division by the zero polynomial")
-    rem = list(num)
-    quot = [0] * max(len(num) - len(den) + 1, 0)
-    lead = den[-1]
-    for i in range(len(quot) - 1, -1, -1):
-        factor, left = divmod(rem[i + len(den) - 1], lead)
-        if left:
-            break
-        quot[i] = factor
-        if factor:
-            for j, c in enumerate(den):
-                rem[i + j] -= factor * c
-    if normalize(rem):
-        raise InexactDivisionError(
-            "inexact division: remainder %r" % (normalize(rem),)
-        )
-    return normalize(quot)
 
 
 def _coeff_str(c, latex: bool) -> str:

@@ -13,10 +13,9 @@ is built from the Poincare polynomials of the compactified spaces, and
 f(g(x)) = g(f(x)) = x.  Both are held as truncated bivariate series in
 exponential form, n! [x^n], whose coefficients are integer polynomials in
 s: f stores Keel's rows P_{n+1} as they are, and g stores
--s(s-1)...(s-n+1) / (s(s-1)) for n >= 2.  That falling factorial is built
-in integers, and its quotient by s(s-1) is exact polynomial division with
-a remainder check (the divisibility is a theorem, so a remainder is a loud
-bug, not data).  It is, up to sign, the Poincare polynomial of the open
+-(s-2)(s-3)...(s-n+1) for n >= 2, the falling factorial s(s-1)...(s-n+1)
+without the two factors that s(s-1) cancels, built as that product in
+integers.  It is, up to sign, the Poincare polynomial of the open
 space M_{0,n+1}, which open_homology_dims reads without building the rest
 of the series.  The compositions of verify_inverse run in
 algebra.series_compose's integer kernel.  Only a printed coefficient is
@@ -36,13 +35,10 @@ from .algebra import (
     BiSeries,
     IntPoly,
     biseries_x,
-    poly_add,
-    poly_div_exact,
     poly_mul,
     poly_neg,
     poly_scale,
     poly_str,
-    poly_sub,
     require_order,
     require_size,
     series_compose,
@@ -50,7 +46,6 @@ from .algebra import (
 from .keel import poincare_poly
 from .report import make_report
 
-_S_TIMES_S_MINUS_1 = (0, -1, 1)   # s(s-1) = s^2 - s
 # largest order the series accept, measured to answer in about 1.5 s for
 # verify_inverse at the guard; each series is refused beyond it before any
 # coefficient is built
@@ -59,32 +54,25 @@ SERIES_ORDER_GUARD = 55
 
 @lru_cache(maxsize=256)
 def _open_poly(n: int) -> IntPoly:
-    """-n! times the x^n coefficient of g(x) - x, i.e. of
-    -((1+x)^s - (1 + s*x)) / (s(s-1)), from the falling factorial
-    s(s-1)...(s-n+1) in integers.
+    """-n! times the x^n coefficient of g(x) - x, for n >= 2: the product
+    (s-2)(s-3)...(s-n+1) in integers.
 
-    The numerator vanishes identically for n <= 1, so the quotient is exact
-    there too; a remainder at any n is a hard error, not data.  The last 256
-    quotients are kept, well above the series order guard of 55, so
-    series_g, open_homology_dims and verify_inverse divide once per n; a
-    raise is never cached.
+    The x^n coefficient of (1+x)^s is s(s-1)...(s-n+1)/n!, and 1 + s*x
+    cancels its terms at n <= 1, so dividing by s(s-1) leaves the factors
+    from s-2 on.  The last 256 products are kept, well above the series
+    order guard of 55, so series_g, open_homology_dims and verify_inverse
+    build each n once.
     """
-    falling = (1,)
-    for j in range(n):
-        falling = poly_mul(falling, (-j, 1))
-    if n == 0:
-        falling = poly_sub(falling, (1,))        # the 1 of (1 + s*x)
-    elif n == 1:
-        falling = poly_sub(falling, (0, 1))      # the s*x of (1 + s*x)
-    return poly_div_exact(falling, _S_TIMES_S_MINUS_1)
+    poly = (1,)
+    for j in range(2, n):
+        poly = poly_mul(poly, (-j, 1))
+    return poly
 
 
 def series_g(order: int) -> BiSeries:
     """Getzler's g, from the closed form, through x^order."""
     require_order(order, 2, SERIES_ORDER_GUARD)
-    coeffs = [poly_neg(_open_poly(n)) for n in range(order + 1)]
-    coeffs[1] = poly_add(coeffs[1], (1,))             # the leading x of g
-    return BiSeries(order + 1, coeffs)
+    return BiSeries(order + 1, [(), (1,)] + [poly_neg(_open_poly(n)) for n in range(2, order + 1)])
 
 
 def series_f(order: int) -> BiSeries:

@@ -168,7 +168,7 @@ def glued_pair_count(n: int, q: int) -> int:
     n and q are checked once, here, so n = 3, which has no terms and gives
     0, refuses a bad q too, and each term reads the rows at q directly.
     """
-    require_size("n", n, 3)
+    require_size("n", n, 3, KEEL_MAX_N + 1, "the Keel row bound plus one")
     require_prime_power(q)
     return sum(
         (comb(n - 1, j - 1) if 2 * j == n else comb(n, j))
@@ -184,7 +184,7 @@ def verify_count_recurrence(n_max: int, q: int) -> list:
         |Mbar_{0,n+1}| = (1+q) |Mbar_{0,n}| + q * glued_pair_count(n, q).
     Returns one VerificationReport per n+1.
     """
-    require_size("n_max", n_max, 4)
+    require_size("n_max", n_max, 4, KEEL_MAX_N, "the Keel row bound")
     require_prime_power(q)
     reports = []
     for m in range(4, n_max + 1):

@@ -44,8 +44,8 @@ from functools import lru_cache, reduce
 from math import factorial, prod
 from operator import attrgetter, itemgetter
 
-from .algebra import (IntPoly, is_prime, poly_eval, poly_mul, require_int,
-                      require_prime_power, require_size)
+from .algebra import (IntPoly, is_prime, poly_mul, require_int, require_prime_power,
+                      require_size)
 
 ORBIT_GUARD_MAX_Q = 7   # (q+1)!/(q+1-n)! canonicalizations; 8!/1 worst case
 CENSUS_MAX_N = 20       # cold, the census takes 0.4 s and 17 MB at n = 20, 1.1-1.4 s at n = 22
@@ -485,7 +485,10 @@ def _census_sums(n: int, q: int) -> tuple:
     require_prime_power(q)
     count = edge_sum = 0
     for (poly, edges), mult in stratum_census(n):
-        value = mult * poly_eval(poly, q)
+        value = 0
+        for c in reversed(poly):  # Horner's rule of its own: Keel's side uses poly_eval
+            value = value * q + c
+        value *= mult
         count += value
         edge_sum += edges * value
     return count, edge_sum

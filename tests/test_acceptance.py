@@ -4,8 +4,11 @@ and holding to its stated runtime budget (run with -s or -v to see them).
 All comparisons are exact; there are no tolerances anywhere.
 """
 
+import ast
 import time
+from pathlib import Path
 
+from m0nbar import keel, strata
 from m0nbar.algebra import poly_eval
 from m0nbar.forget import fiber_size, verify_fiber_sum, verify_lemma3, verify_lemma4
 from m0nbar.getzler import series_f, series_g
@@ -20,6 +23,10 @@ from m0nbar.zeta import log_derivative_series, zeta_moduli
 from m0nbar.algebra import series_compose
 
 QS = (2, 3, 4, 5, 7, 8, 9, 11)
+# what the census and Keel's rows may both import from algebra: types and
+# input validators, never arithmetic
+SHARED_HELPERS = {"IntPoly", "InexactDivisionError", "require_int", "require_size",
+                  "require_prime_power", "is_prime", "is_prime_power"}
 
 
 def _finish(name, started, budget_s):
@@ -61,6 +68,23 @@ def test_cross_oracle_point_counts():
             checked += 1
     assert checked == 48
     _finish("cross-oracle-counts", t0, 60.0)
+
+
+def _algebra_imports(module) -> set:
+    """The names a package module imports from .algebra, read from its source."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    return {alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "algebra"
+            for alias in node.names}
+
+
+def test_census_and_keel_share_no_arithmetic():
+    # cross-oracle and lemma4 compare the census with Keel's rows; an
+    # arithmetic helper used by both would be checked against itself
+    t0 = time.perf_counter()
+    shared = _algebra_imports(strata) & _algebra_imports(keel)
+    assert shared <= SHARED_HELPERS, sorted(shared - SHARED_HELPERS)
+    _finish("route-independence", t0, 1.0)
 
 
 def test_orbit_oracle():

@@ -11,7 +11,6 @@ from m0nbar.algebra import (
     _iroot,
     MILLER_RABIN_LIMIT,
     BiSeries,
-    InexactDivisionError,
     biseries_x,
     factorization_str,
     intpoly,
@@ -19,7 +18,6 @@ from m0nbar.algebra import (
     is_prime_power,
     normalize,
     poly_add,
-    poly_div_exact,
     poly_eval,
     poly_mul,
     poly_str,
@@ -107,28 +105,6 @@ def test_eval_is_ring_homomorphism():
         x = rng.randrange(-6, 7)
         assert poly_eval(poly_add(a, b), x) == poly_eval(a, x) + poly_eval(b, x)
         assert poly_eval(poly_mul(a, b), x) == poly_eval(a, x) * poly_eval(b, x)
-
-
-def test_div_exact():
-    # binom(s,2)*2! = s^2 - s, divided by s(s-1)
-    assert poly_div_exact((0, -1, 1), (0, -1, 1)) == (1,)
-    assert poly_div_exact((0, -2, 0, 2), (0, -2, 2)) == (1, 1)
-    with pytest.raises(InexactDivisionError):
-        poly_div_exact((1, 1), (0, 1))
-    with pytest.raises(InexactDivisionError):   # s / 2s has no integer quotient
-        poly_div_exact((0, 1), (0, 2))
-    with pytest.raises(ZeroDivisionError):
-        poly_div_exact((1,), ())
-
-
-def test_div_exact_random_products():
-    rng = random.Random(4242)
-    for _ in range(40):
-        a = _random_poly(rng)
-        b = _random_poly(rng)
-        if not a or not b:
-            continue
-        assert poly_div_exact(poly_mul(a, b), b) == a
 
 
 def test_series_validation():

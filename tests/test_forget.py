@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from m0nbar import forget, getzler, strata, zeta
+from m0nbar import forget, getzler, keel, strata, zeta
 from m0nbar.algebra import is_prime_power, poly_eval, require_prime, require_prime_power
 from m0nbar.forget import (
     FiberBreakdown,
@@ -23,6 +23,7 @@ from m0nbar.keel import (
     point_count,
     verify_count_recurrence,
 )
+from m0nbar.report import all_pass
 from m0nbar.strata import (
     CENSUS_MAX_N,
     boundary_edge_sum,
@@ -215,6 +216,9 @@ def test_size_guards_refuse_before_any_work(monkeypatch):
     assert len(open_stratum_poly(CENSUS_MAX_N)) == CENSUS_MAX_N - 2
     assert len(open_homology_dims(SERIES_ORDER_GUARD).dims) == SERIES_ORDER_GUARD - 1
     assert len(zeta_projective(KEEL_MAX_N - 3, 2).factors) == KEEL_MAX_N - 2
+    # n = 176 reads Keel rows up to 175 only
+    assert glued_pair_count(KEEL_MAX_N + 1, 2) > 0
+    assert all_pass(verify_count_recurrence(KEEL_MAX_N, 2))
 
     def refuse(*args):
         raise AssertionError("work was done past the guard")
@@ -222,11 +226,14 @@ def test_size_guards_refuse_before_any_work(monkeypatch):
     monkeypatch.setattr(strata, "poly_mul", refuse)
     monkeypatch.setattr(getzler, "_open_poly", refuse)
     monkeypatch.setattr(zeta, "FactoredZeta", refuse)
+    monkeypatch.setattr(keel, "poincare_poly", refuse)
     guarded = (
         (open_stratum_poly, "m", CENSUS_MAX_N, "the stratum census guard"),
         (open_homology_dims, "n", SERIES_ORDER_GUARD, "the series order guard"),
         (lambda n: zeta_projective(n, 2), "n_dim", KEEL_MAX_N - 3,
          "the dimension at the Keel row bound"),
+        (lambda n: glued_pair_count(n, 2), "n", KEEL_MAX_N + 1, "the Keel row bound plus one"),
+        (lambda n: verify_count_recurrence(n, 2), "n_max", KEEL_MAX_N, "the Keel row bound"),
     )
     for call, name, guard, bound in guarded:
         with pytest.raises(ValueError, match="^" + re.escape(

@@ -189,12 +189,20 @@ def test_homology_dims_match_open_stratum_counts():
         assert intpoly(*signed) == open_stratum_poly(n + 1)
 
 
-def test_open_poly_memo_keeps_dims_and_raises():
+def test_open_poly_memo_keeps_dims():
     # dims of M_{0,6}: (1 + 2t)(1 + 3t)(1 + 4t), read twice through the memo
     assert open_homology_dims(5).dims == open_homology_dims(5).dims == (1, 9, 26, 24)
-    for _ in range(2):
-        with pytest.raises(ArithmeticError):
-            getzler._open_poly(-1)
+
+
+def test_open_poly_times_s_s_minus_1_is_the_falling_factorial():
+    # n! [x^n] of (1+x)^s is s(s-1)...(s-n+1); g's open polynomial is that
+    # product divided by s(s-1), checked here by multiplying back against a
+    # falling factorial built coefficient by coefficient
+    falling = [0, 1]                                # s, for n = 1
+    for n in range(2, SERIES_ORDER_GUARD + 1):
+        # times (s - (n-1)): the coefficient of s^i gains that of s^(i-1)
+        falling = [a - (n - 1) * b for a, b in zip([0] + falling, falling + [0])]
+        assert poly_mul(getzler._open_poly(n), (0, -1, 1)) == tuple(falling), n
 
 
 def test_series_arithmetic_builds_no_fraction(monkeypatch):

@@ -10,7 +10,9 @@ from math import comb, prod
 
 import pytest
 
+from m0nbar import algebra, strata
 from m0nbar.algebra import normalize, poly_add, poly_eval, poly_mul, poly_scale
+from m0nbar.cli import _verify_reports
 from m0nbar.keel import poincare_poly
 from m0nbar.strata import (
     CENSUS_MAX_N,
@@ -476,6 +478,38 @@ def test_boundary_edge_sum_examples():
         assert boundary_edge_sum(4, q) == 3
     assert boundary_edge_sum(5, 2) == 30
     assert boundary_edge_sum(5, 3) == 40
+
+
+def _crossing_lines() -> list:
+    """(identity, n, q, passed) of every cross-oracle and lemma4 line for
+    n <= 8 at q = 2, 3, 4, as verify strata and verify forget make them."""
+    reports = _verify_reports("strata", 8, (2, 3, 4), None)
+    reports += _verify_reports("forget", 8, (2, 3, 4), None)
+    return sorted((r.identity, r.parameters["n"], r.parameters["q"], r.passed) for r in reports
+                  if r.identity in ("cross-oracle", "lemma4"))
+
+
+def test_census_side_evaluates_apart_from_keel(monkeypatch):
+    # poly_eval evaluating at q + 1 shifts Keel's side only: every
+    # cross-oracle and lemma4 line whose value depends on q must fail
+    def shifted(p, x):
+        acc = 0
+        for c in reversed(p):
+            acc = acc * (x + 1) + c
+        return acc
+
+    lines = [(name, n, q) for q in (2, 3, 4)
+             for name, least in (("cross-oracle", 3), ("lemma4", 4)) for n in range(least, 9)]
+    assert _crossing_lines() == sorted(line + (True,) for line in lines)
+    monkeypatch.setattr(algebra.poly_eval, "__code__", shifted.__code__)
+    strata._census_sums.cache_clear()
+    try:
+        crossing = _crossing_lines()
+    finally:
+        strata._census_sums.cache_clear()
+    # only cross-oracle at n = 3 and lemma4 at n = 4 do not depend on q
+    steady = {("cross-oracle", 3), ("lemma4", 4)}
+    assert crossing == sorted(line + (line[:2] in steady,) for line in lines)
 
 
 def test_total_count_polynomial_is_poincare():
