@@ -31,8 +31,8 @@ numbering: a tree made from its serial numbers itself from the string the
 first time its edges or legs are read, and keeps the result.  Each node
 carries the valences of its vertices instead, so a stratum table takes
 every count polynomial from the generator and numbers no tree.  make_tree
-finds the center of arbitrary input by walking from any vertex, builds the
-same nodes, and returns the same serial-made tree.
+finds the center of arbitrary input by peeling its leaves layer by layer,
+builds the same nodes, and returns the same serial-made tree.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from collections import Counter
 from dataclasses import FrozenInstanceError, dataclass, field
 from functools import lru_cache, reduce
 from math import factorial, prod
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 from .algebra import (IntPoly, is_prime, poly_mul, require_int, require_prime_power,
                       require_size)
@@ -144,26 +144,6 @@ def _node(legs, kids) -> tuple:
     return serial, legs, kids, height, valences
 
 
-def _hang(adj, legs_at, v, parent=-1) -> tuple:
-    return _node(legs_at[v], [_hang(adj, legs_at, u, v) for u in adj[v] if u != parent])
-
-
-def _centred(legs, kids) -> tuple:
-    """The tree with top vertex (legs, kids) as a node rooted at its center,
-    found by walking towards the deepest kid while that lowers eccentricity."""
-    up, up_len = [], 0  # the branch above the current vertex, and its length
-    while kids:
-        deep = max(kids, key=itemgetter(3))
-        far = max([up_len] + [k[3] + 1 for k in kids if k is not deep])
-        if deep[3] < far:
-            break
-        above = _node(legs, [b for b in kids + up if b is not deep])
-        if deep[3] == far:  # two centers: the smaller serialization wins
-            return min(_node(legs, kids + up), _node(deep[1], deep[2] + [above]))
-        legs, kids, up, up_len = deep[1], deep[2], [above], far + 1
-    return _node(legs, kids + up)
-
-
 _LEG_CHARS = str.maketrans("", "", "0123456789,")
 
 
@@ -206,9 +186,16 @@ def make_tree(vertex_count: int, edges, legs) -> DualTree:
     """Validate and canonicalize an arbitrary vertex/edge/leg description.
 
     legs maps label -> vertex (labels must be exactly 1..n).  Raises
-    ValueError unless the edges form a tree and every vertex has valence
-    at least 3.
+    ValueError, in this order, for a vertex_count that is not an int >= 1,
+    a vertex that is not an int, duplicate edges, a bad edge, the wrong
+    number of edges, edges that do not connect the vertices, leg labels
+    other than 1..n, a leg on an unknown vertex, or a vertex of valence
+    below 3.  A tree of any depth is accepted: nothing here recurses.
     """
+    require_size("vertex_count", vertex_count, 1)
+    edges, legs = [tuple(e) for e in edges], dict(legs)
+    for v in itertools.chain(*edges, legs.values()):
+        require_int("vertex", v)
     edges = [tuple(sorted(e)) for e in edges]
     if len(edges) != len(set(edges)):
         raise ValueError("duplicate edges")
@@ -221,17 +208,22 @@ def make_tree(vertex_count: int, edges, legs) -> DualTree:
     for a, b in edges:
         adj[a].append(b)
         adj[b].append(a)
-    seen = [False] * vertex_count
-    stack = [0]
-    seen[0] = True
-    while stack:
-        for u in adj[stack.pop()]:
-            if not seen[u]:
-                seen[u] = True
-                stack.append(u)
-    if not all(seen):
-        raise ValueError("edges do not connect the vertices")
-    legs = dict(legs)
+    # peel the leaves layer by layer: a vertex joins the next layer when
+    # its remaining degree drops to 1, and the last layer is the centre
+    remaining = [len(a) for a in adj]
+    layers = [[v for v in range(vertex_count) if remaining[v] <= 1]]
+    peeled = len(layers[0])
+    while peeled < vertex_count:
+        layer = []
+        for v in layers[-1]:
+            for u in adj[v]:
+                remaining[u] -= 1
+                if remaining[u] == 1:
+                    layer.append(u)
+        if not layer:  # with vertex_count - 1 edges, only a graph that is no tree stalls
+            raise ValueError("edges do not connect the vertices")
+        layers.append(layer)
+        peeled += len(layer)
     n = len(legs)
     if sorted(legs) != list(range(1, n + 1)):
         raise ValueError("leg labels must be exactly 1..n")
@@ -244,7 +236,14 @@ def make_tree(vertex_count: int, edges, legs) -> DualTree:
     for v in range(vertex_count):
         if len(adj[v]) + len(legs_at[v]) < 3:
             raise ValueError("vertex %d has valence < 3 (not stable)" % v)
-    root = _centred(*_hang(adj, legs_at, 0)[1:3])
+    node = {}
+    for layer in layers:  # from the earlier layers only, so a centre edge's ends stay apart
+        built = [_node(legs_at[v], [node[u] for u in adj[v] if u in node]) for v in layer]
+        node.update(zip(layer, built))
+    root = built[0]
+    if len(built) == 2:  # a centre edge: the smaller serialization wins, as in _centres
+        x, y = built
+        root = min(_node(x[1], x[2] + [y]), _node(y[1], y[2] + [x]))
     return DualTree(len(root[4]), None, None, root[0])
 
 
@@ -400,7 +399,7 @@ def _count_poly(valences: tuple) -> IntPoly:
 
 
 @lru_cache(maxsize=None)
-def _centred_poly(valences: tuple) -> IntPoly:
+def _rooted_poly(valences: tuple) -> IntPoly:
     """Point count of the stratum of a centred node with these valences;
     its root has no edge above it.  Trees share few valence tuples (32
     among the 39208 trees at n = 8), so each is sorted once."""
@@ -424,7 +423,7 @@ def _table_row(serial: str, valences: tuple) -> StratumInfo:
     _set_serial(tree, serial)
     row = object.__new__(StratumInfo)
     _set_tree(row, tree)
-    _set_count_poly(row, _centred_poly(valences))
+    _set_count_poly(row, _rooted_poly(valences))
     _set_edge_count(row, len(valences) - 1)
     return row
 

@@ -8,7 +8,7 @@ import ast
 import time
 from pathlib import Path
 
-from m0nbar import keel, strata
+from m0nbar import getzler, keel, strata
 from m0nbar.algebra import poly_eval
 from m0nbar.forget import fiber_size, verify_fiber_sum, verify_lemma3, verify_lemma4
 from m0nbar.getzler import series_f, series_g
@@ -70,11 +70,11 @@ def test_cross_oracle_point_counts():
     _finish("cross-oracle-counts", t0, 60.0)
 
 
-def _algebra_imports(module) -> set:
-    """The names a package module imports from .algebra, read from its source."""
+def _imports(module, source: str) -> set:
+    """The names a package module imports from .source, read from its source."""
     tree = ast.parse(Path(module.__file__).read_text())
     return {alias.name for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "algebra"
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == source
             for alias in node.names}
 
 
@@ -82,9 +82,19 @@ def test_census_and_keel_share_no_arithmetic():
     # cross-oracle and lemma4 compare the census with Keel's rows; an
     # arithmetic helper used by both would be checked against itself
     t0 = time.perf_counter()
-    shared = _algebra_imports(strata) & _algebra_imports(keel)
+    shared = _imports(strata, "algebra") & _imports(keel, "algebra")
     assert shared <= SHARED_HELPERS, sorted(shared - SHARED_HELPERS)
     _finish("route-independence", t0, 1.0)
+
+
+def test_getzler_and_keel_share_no_arithmetic():
+    # getzler-inverse composes f, Keel's rows by definition, with g, which
+    # must be built without Keel: getzler reads the rows and nothing else
+    t0 = time.perf_counter()
+    shared = _imports(getzler, "algebra") & _imports(keel, "algebra")
+    assert shared <= SHARED_HELPERS, sorted(shared - SHARED_HELPERS)
+    assert _imports(getzler, "keel") == {"poincare_poly"}
+    _finish("getzler-route-independence", t0, 1.0)
 
 
 def test_orbit_oracle():

@@ -19,27 +19,6 @@ from m0nbar.report import all_pass
 from m0nbar.strata import open_stratum_poly
 
 
-def falling_binomial(n: int):
-    """binom(s, n) = s(s-1)...(s-n+1)/n! as a polynomial in s; a test-only
-    helper, as the package builds the falling factorial in integers."""
-    poly = (1,)
-    for j in range(n):
-        poly = poly_mul(poly, (-j, 1))
-    return poly_scale(poly, Fraction(1, factorial(n)))
-
-
-def test_falling_binomial():
-    assert falling_binomial(0) == (1,)
-    assert falling_binomial(1) == (0, 1)
-    assert falling_binomial(2) == (0, Fraction(-1, 2), Fraction(1, 2))
-    # binom(k, n) at integer k must agree with the arithmetic value
-    from m0nbar.algebra import poly_eval
-    from math import comb
-    for n in range(5):
-        for k in range(8):
-            assert poly_eval(falling_binomial(n), Fraction(k)) == comb(k, n)
-
-
 def test_g_low_coefficients():
     # exponential coefficients n! [x^n]
     g = series_g(4)

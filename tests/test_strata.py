@@ -443,6 +443,39 @@ def test_make_tree_validation():
         make_tree(4, [(0, 1), (1, 2), (0, 2)], {k: k % 4 for k in range(1, 9)})
     with pytest.raises(ValueError, match="leg 3 sits on unknown vertex 5"):
         make_tree(1, [], {1: 0, 2: 0, 3: 5})
+    # every size and vertex that is not an int is refused by name, first
+    for count, text in ((1.0, "vertex_count = 1.0 is not an int"),
+                        ("1", "vertex_count = '1' is not an int"),
+                        (-1, "vertex_count must be >= 1"), (0, "vertex_count must be >= 1")):
+        with pytest.raises(ValueError, match=text):
+            make_tree(count, [], {1: 0, 2: 0, 3: 0})
+    with pytest.raises(ValueError, match="vertex = 0.0 is not an int"):
+        make_tree(2, [(0.0, 1)], {1: 0, 2: 0, 3: 1, 4: 1})
+    with pytest.raises(ValueError, match="vertex = 0.0 is not an int"):
+        make_tree(1, [], {1: 0, 2: 0, 3: 0.0})
+    with pytest.raises(ValueError, match="vertex = '1' is not an int"):  # before any edge check
+        make_tree(2, [(0, 0), (0, "1")], {1: 0, 2: 0, 3: 1, 4: 1})
+
+
+def test_make_tree_takes_any_depth():
+    # a caterpillar: a path of 2000 vertices, two legs at each end and one
+    # at every other vertex, numbered and labelled at random; its centre is
+    # the middle edge, and hanging it recursively would pass the
+    # interpreter's recursion limit
+    rng = random.Random(1869)
+    count = 2000
+    perm, labels = list(range(count)), list(range(1, count + 3))
+    rng.shuffle(perm)
+    rng.shuffle(labels)
+    edges = [(perm[v], perm[v + 1]) for v in range(count - 1)]
+    places = [perm[0]] + perm + [perm[-1]]
+    legs = dict(zip(labels, places))
+    made = make_tree(count, edges, legs)
+    bare = DualTree(count, tuple(edges), tuple(legs[label] for label in range(1, count + 3)))
+    assert made.serial == tree_serial(bare) and made.vertex_count == count
+    again = make_tree(count, made.edges, dict(enumerate(made.legs, start=1)))
+    assert again.serial == made.serial and again == made
+    assert made.serial.count("(") == count and len(made.edges) == count - 1
 
 
 def test_open_stratum_poly():
