@@ -1,6 +1,6 @@
 """Independent census of the strata of Mbar_{0,n}: stable dual trees with n
 labeled legs, per-stratum point-count polynomials in q, and a brute-force
-orbit count on the projective line for tiny prime fields.
+count of orbits on P^1(F_q) for tiny primes q, by Burnside over GL2(F_q).
 
 A dual tree records one vertex per component of a stable curve, one edge per
 node where two components meet, and one labeled leg per marked point.
@@ -41,13 +41,13 @@ import itertools
 from collections import Counter
 from dataclasses import FrozenInstanceError, dataclass, field
 from functools import lru_cache, reduce
-from math import factorial, prod
+from math import factorial, perm, prod
 from operator import attrgetter
 
 from .algebra import (IntPoly, is_prime, poly_mul, require_int, require_prime_power,
                       require_size)
 
-ORBIT_GUARD_MAX_Q = 7   # (q+1)!/(q+1-n)! canonicalizations; 8!/1 worst case
+ORBIT_GUARD_MAX_Q = 7   # the walk tests q points per matrix: 7^5 = 16807 tests, 3 ms at q = 7
 CENSUS_MAX_N = 20       # cold, the census takes 0.4 s and 17 MB at n = 20, 1.1-1.4 s at n = 22
 ENUMERATION_MAX_N = 9   # cold strata_table: 660032 trees in 6.8 s and 180 MB; n = 10 has 12818912
 
@@ -187,16 +187,25 @@ def make_tree(vertex_count: int, edges, legs) -> DualTree:
 
     legs maps label -> vertex (labels must be exactly 1..n).  Raises
     ValueError, in this order, for a vertex_count that is not an int >= 1,
-    a vertex that is not an int, duplicate edges, a bad edge, the wrong
-    number of edges, edges that do not connect the vertices, leg labels
-    other than 1..n, a leg on an unknown vertex, or a vertex of valence
-    below 3.  A tree of any depth is accepted: nothing here recurses.
+    an edge that is not a pair, a vertex that is not an int, a leg label
+    that is not an int, duplicate edges, a bad edge, the wrong number of
+    edges, edges that do not connect the vertices, leg labels other than
+    1..n, a leg on an unknown vertex, or a vertex of valence below 3.  A
+    tree of any depth is accepted: nothing here recurses.
     """
     require_size("vertex_count", vertex_count, 1)
-    edges, legs = [tuple(e) for e in edges], dict(legs)
-    for v in itertools.chain(*edges, legs.values()):
+    pairs, legs = [], dict(legs)
+    for e in edges:
+        try:
+            a, b = e
+        except (TypeError, ValueError):
+            raise ValueError("bad edge %r: not a pair of vertices" % (e,)) from None
+        pairs.append((a, b))
+    for v in itertools.chain(*pairs, legs.values()):
         require_int("vertex", v)
-    edges = [tuple(sorted(e)) for e in edges]
+    for label in legs:
+        require_int("leg label", label)
+    edges = [tuple(sorted(e)) for e in pairs]
     if len(edges) != len(set(edges)):
         raise ValueError("duplicate edges")
     for a, b in edges:
@@ -496,35 +505,28 @@ def _census_sums(n: int, q: int) -> tuple:
 # ---------------------------------------------------------------------------
 # explicit orbit counting over tiny prime fields
 
-def _canonical_tails(n: int, p: int) -> set:
-    """The canonical tail of every n-tuple of distinct points of P^1(F_p):
-    the images of its last n - 3 points under the Moebius map that sends its
-    first three points a, b, c to (0, 1, oo).  That map is the cross-ratio
-    z -> det(z,a) det(b,c) / (det(z,c) det(b,a)), where det(u,v) = u0 v1 - u1 v0
-    on homogeneous coordinates; it is tabulated once per ordered triple.
-    The table keeps the order of its keys, so the k-th tuple of values that
-    permutations yields is the image of the k-th tuple of keys: each
-    configuration is mapped by its own triple's map."""
-    coords = {z: (z, 1) for z in range(p)}
-    coords[None] = (1, 0)  # the point at infinity
-    tails = set()
-    for a, b, c in itertools.permutations(coords, 3):
-        (a0, a1), (b0, b1), (c0, c1) = coords[a], coords[b], coords[c]
-        ratio = (b0 * c1 - b1 * c0) * pow(b0 * a1 - b1 * a0, -1, p)
-        image = {z: (x * a1 - y * a0) * ratio * pow(x * c1 - y * c0, -1, p) % p
-                 for z, (x, y) in coords.items() if z not in (a, b, c)}
-        tails.update(itertools.permutations(image.values(), n - 3))
-    return tails
+@lru_cache(maxsize=None)
+def _fixed_point_counts(p: int) -> tuple:
+    """Entry F counts the invertible 2x2 matrices over F_p that fix exactly F
+    points of P^1(F_p).  z -> (az + b)/(cz + d) fixes oo iff c = 0, and a
+    finite z iff c z^2 + (d - a) z - b = 0 mod p, a root that an invertible
+    matrix never sends to oo."""
+    counts = [0] * (p + 2)
+    for a, b, c, d in itertools.product(range(p), repeat=4):
+        if (a * d - b * c) % p:
+            counts[(c == 0) + sum((c * z * z + (d - a) * z - b) % p == 0 for z in range(p))] += 1
+    return tuple(counts)
 
 
 def orbit_count_direct(n: int, q: int) -> int:
     """Count n-tuples of distinct points on P^1(F_q) up to PGL2(F_q).
 
-    Brute force: canonicalize every configuration by the unique Moebius map
-    pinning its first three points at (0, 1, oo) and count distinct
-    canonical forms.  Supports prime q only (field arithmetic is integers
-    mod p) and guards q <= 7, which caps the enumeration at 8!/1 = 40320
-    configurations.
+    Brute force by Burnside's lemma over GL2(F_q), of order
+    (q^2 - 1)(q^2 - q), whose scalars act trivially: a matrix that fixes F
+    points fixes F(F-1)...(F-k+1) ordered k-tuples of distinct points.  At
+    k >= 3 only the q - 1 scalars fix one, so the walk is tested by k = 1
+    and k = 2, which must each give one orbit; ArithmeticError is raised if
+    they do not, or if k = n leaves a remainder.  Prime q only, q <= 7.
     """
     # both types before n's range, so a call with two bad arguments names n
     require_int("n", n)
@@ -539,4 +541,10 @@ def orbit_count_direct(n: int, q: int) -> int:
             "resource guard: explicit orbit enumeration is capped at q <= %d"
             % ORBIT_GUARD_MAX_Q
         )
-    return len(_canonical_tails(n, q))
+    counts, group = _fixed_point_counts(q), (q * q - 1) * (q * q - q)
+    one, two, orbits = (divmod(sum(m * perm(f, k) for f, m in enumerate(counts)), group)
+                        for k in (1, 2, n))
+    if one != (1, 0) or two != (1, 0) or orbits[1]:
+        raise ArithmeticError("GL2(F_%d) orbits, remainder at k = 1, 2, %d: %r"
+                              % (q, n, (one, two, orbits)))
+    return orbits[0]

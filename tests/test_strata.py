@@ -18,7 +18,6 @@ from m0nbar.strata import (
     CENSUS_MAX_N,
     DualTree,
     StratumInfo,
-    _canonical_tails,
     boundary_edge_sum,
     enumerate_stable_trees,
     make_tree,
@@ -439,6 +438,10 @@ def test_make_tree_validation():
         make_tree(2, [(0, 2)], {1: 0, 2: 0, 3: 1, 4: 1})
     with pytest.raises(ValueError, match="bad edge"):
         make_tree(2, [(1, 1)], {1: 0, 2: 0, 3: 1, 4: 1})
+    for edge, text in (((0, 1, 1), r"bad edge \(0, 1, 1\): not a pair"),
+                       ((0,), r"bad edge \(0,\): not a pair"), (5, "bad edge 5: not a pair")):
+        with pytest.raises(ValueError, match=text):
+            make_tree(2, [edge], {1: 0, 2: 0, 3: 1, 4: 1})
     with pytest.raises(ValueError, match="do not connect"):  # a triangle and a lone vertex
         make_tree(4, [(0, 1), (1, 2), (0, 2)], {k: k % 4 for k in range(1, 9)})
     with pytest.raises(ValueError, match="leg 3 sits on unknown vertex 5"):
@@ -455,6 +458,10 @@ def test_make_tree_validation():
         make_tree(1, [], {1: 0, 2: 0, 3: 0.0})
     with pytest.raises(ValueError, match="vertex = '1' is not an int"):  # before any edge check
         make_tree(2, [(0, 0), (0, "1")], {1: 0, 2: 0, 3: 1, 4: 1})
+    for label, text in ((1.0, "leg label = 1.0 is not an int"),
+                        (Fraction(1), r"leg label = Fraction\(1, 1\) is not an int")):
+        with pytest.raises(ValueError, match=text):
+            make_tree(1, [], {label: 0, 2: 0, 3: 0})
 
 
 def test_make_tree_takes_any_depth():
@@ -588,49 +595,35 @@ def test_orbit_count_matches_formula():
             assert orbit_count_direct(n, q) == poly_eval(open_stratum_poly(n), q)
 
 
-def _tails_by_lookup(n, p):
-    """The canonical tails as the brute force first built them: each tail
-    looked up, point by point, in its triple's table of images."""
-    coords = {z: (z, 1) for z in range(p)}
-    coords[None] = (1, 0)
-    tails = set()
-    for a, b, c in itertools.permutations(coords, 3):
-        (a0, a1), (b0, b1), (c0, c1) = coords[a], coords[b], coords[c]
-        ratio = (b0 * c1 - b1 * c0) * pow(b0 * a1 - b1 * a0, -1, p)
-        image = {z: (x * a1 - y * a0) * ratio * pow(x * c1 - y * c0, -1, p) % p
-                 for z, (x, y) in coords.items() if z not in (a, b, c)}
-        tails.update(tuple(map(image.__getitem__, rest))
-                     for rest in itertools.permutations(image, n - 3))
-    return tails
+def test_orbit_walk_covers_gl2():
+    # every invertible matrix is walked once, and only the q - 1 scalars
+    # fix every point of P^1(F_q)
+    for q in (2, 3, 5, 7):
+        counts = strata._fixed_point_counts(q)
+        assert sum(counts) == (q * q - 1) * (q * q - q), q
+        assert counts[q + 1] == q - 1, q
 
 
-def test_canonical_tails_match_the_lookup_oracle():
+def test_orbit_oracle_sees_a_wrong_walk(monkeypatch):
+    # a walk that keeps only the scalars still gives every count at n >= 3
+    # right, since only scalars fix three points; the k = 1, 2 sums refuse it
+    monkeypatch.setattr(strata, "_fixed_point_counts", lambda p: (0,) * (p + 1) + (p - 1,))
     for q in (2, 3, 5, 7):
         for n in range(3, q + 3):
-            tails = _canonical_tails(n, q)
-            assert tails == _tails_by_lookup(n, q), (n, q)
-            assert (len(tails) == 0) == (n == q + 2), (n, q)
+            with pytest.raises(ArithmeticError, match="GL2"):
+                orbit_count_direct(n, q)
 
 
-def test_orbit_brute_force_maps_every_configuration(monkeypatch):
-    # each ordered triple is one permutation, and each configuration one
-    # more, so the count pins (q+1) q (q-1) maps and (q+1)!/(q+1-n)!
-    # configurations; it fails if a triple or a configuration is skipped
-    permutations, yielded = itertools.permutations, [0]
+def test_orbit_oracle_reads_nothing_of_the_census(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the orbit oracle read the census")
 
-    def counted(items, r):
-        for perm in permutations(items, r):
-            yielded[0] += 1
-            yield perm
-
-    monkeypatch.setattr(itertools, "permutations", counted)
+    monkeypatch.setattr(strata, "open_stratum_poly", refuse)
+    monkeypatch.setattr(strata, "poly_mul", refuse)
+    strata._fixed_point_counts.cache_clear()
     for q in (2, 3, 5, 7):
-        for n in range(3, q + 2):
-            yielded[0] = 0
-            orbit_count_direct(n, q)
-            triples = (q + 1) * q * (q - 1)
-            configurations = prod(range(q + 2 - n, q + 2))
-            assert yielded[0] == triples + configurations, (n, q)
+        for n in range(3, q + 3):
+            assert orbit_count_direct(n, q) == prod(q - j for j in range(2, n - 1)), (n, q)
 
 
 def test_orbit_count_guards():
