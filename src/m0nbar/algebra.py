@@ -392,9 +392,10 @@ def factorization_str(m: int) -> str:
 
 
 def require_int(name: str, value) -> None:
-    """Reject a value that is not an int, naming it.  Callers check first,
-    so no memo ever sees a float key such as 5.0, which hashes like 5."""
-    if not isinstance(value, int):
+    """Reject a value that is not an int, naming it; bool is refused too,
+    though it subclasses int, so True never passes as 1.  Callers check
+    first, so no memo ever sees a float key such as 5.0, which hashes like 5."""
+    if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError("%s = %r is not an int" % (name, value))
 
 

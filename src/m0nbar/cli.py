@@ -18,7 +18,6 @@ import sys
 from collections import Counter
 from functools import reduce
 from math import comb, log10
-from operator import attrgetter
 
 from . import getzler, keel, strata, zeta
 from .algebra import (
@@ -116,54 +115,57 @@ def cmd_strata(args):
     q = args.q
     if q is not None:
         require_prime_power(q)
-    table = strata.strata_table(args.n)
-    kinds = Counter(map(attrgetter("count_poly"), table))
+    serials, count_polys = strata.table_columns(args.n)
+    kinds = Counter(count_polys)
     total_poly = reduce(poly_add, (poly_scale(poly, mult) for poly, mult in kinds.items()))
     # each distinct count polynomial, the total's among them, is evaluated
-    # and rendered once per call: its cells are the tail of every row it counts
+    # and rendered once per call: its cells end every row it counts
     counts = {p: None if q is None else str(poly_eval(p, q)) for p in [*kinds, total_poly]}
-    # every format writes a row as line % (serial, vertices, edges, tail),
-    # rows sep apart between its head and its foot
-    fmt, sep = args.format, "\n"
+    # every format writes a row as pre + serial, padded to wide, and then the
+    # tail line % (vertices, edges, cells); a stratum with V vertices has a
+    # count polynomial of degree n - 2 - V, so one tail per polynomial serves
+    # every row it counts; rows sep apart between a head and a foot
+    fmt, sep, pre, wide = args.format, "\n", "", 0
     polys = {p: poly_str(p, "q", descending=True, latex=fmt == "latex") for p in counts}
     if fmt == "json":
         # a serial is made of digits and "(,;)" only, so it needs no escaping
-        tails = {p: _json_fields({"count_poly": [str(c) for c in p], "count": count}, 2)
+        cells = {p: _json_fields({"count_poly": [str(c) for c in p], "count": count}, 2)
                  for p, count in counts.items()}
         head = '{\n%s,\n  "strata": [\n' % _json_fields({"n": args.n, "q": q}, 0)
-        line = '    {\n      "tree": "%s",\n      "vertices": %d,\n      "edges": %d,\n%s\n    }'
+        pre = '    {\n      "tree": "'
+        line = '",\n      "vertices": %d,\n      "edges": %d,\n%s\n    }'
         sep = ",\n"
         total = {"total_poly": [str(c) for c in total_poly], "total": counts[total_poly]}
         foot = "\n  ],\n%s\n}\n" % _json_fields(total, 0)
     elif fmt == "latex":
-        tails = {p: "$%s$" % polys[p] if count is None else "$%s$ & %s" % (polys[p], count)
+        cells = {p: "$%s$" % polys[p] if count is None else "$%s$ & %s" % (polys[p], count)
                  for p, count in counts.items()}
         cols, last = ("lrrl", "") if q is None else ("lrrlr", " & count at $q=%s$" % q)
         head = ("\\begin{tabular}{%s}\ntree & vertices & $k(\\rho)$ & count polynomial%s \\\\\n"
                 % (cols, last))
-        line = "\\verb|%s| & %d & %d & %s \\\\"
-        foot = "\ntotal &  &  & %s \\\\\n\\end{tabular}\n" % tails[total_poly]
+        pre, line = "\\verb|", "| & %d & %d & %s \\\\"
+        foot = "\ntotal &  &  & %s \\\\\n\\end{tabular}\n" % cells[total_poly]
     elif fmt == "csv":
         # every serial holds a comma and never a quote, so it is quoted as is
-        tails = {p: polys[p] if count is None else "%s,%s" % (polys[p], count)
+        cells = {p: polys[p] if count is None else "%s,%s" % (polys[p], count)
                  for p, count in counts.items()}
         head = "tree,vertices,edges,count_poly%s\n" % ("" if q is None else ",count")
-        line = '"%s",%d,%d,%s'
-        foot = "\nTOTAL,,,%s\n" % tails[total_poly]
+        pre, line = '"', '",%d,%d,%s'
+        foot = "\nTOTAL,,,%s\n" % cells[total_poly]
     else:
         # columns two spaces apart, each as wide as its widest cell; no vertex
         # or edge count has as many digits as its header has letters
-        wide = max(len("TOTAL"), *map(len, map(attrgetter("tree.serial"), table)))
-        tails, last = polys, "count_poly"
+        wide = max(len("TOTAL"), max(map(len, serials)))
+        cells, last = polys, "count_poly"
         if q is not None:
             poly_wide = max(len(last), *map(len, polys.values()))
-            tails = {p: "%-*s  %s" % (poly_wide, polys[p], count) for p, count in counts.items()}
+            cells = {p: "%-*s  %s" % (poly_wide, polys[p], count) for p, count in counts.items()}
             last = "%-*s  count(q=%s)" % (poly_wide, last, q)
         head = "%-*s  vertices  edges  %s\n" % (wide, "tree", last)
-        line = "%%-%ds  %%8d  %%5d  %%s" % wide
-        foot = "\n%-*s  %8s  %5s  %s\n" % (wide, "TOTAL", "", "", tails[total_poly])
-    rows = [line % (row.tree.serial, row.tree.vertex_count, row.edge_count, tails[row.count_poly])
-            for row in table]
+        line = "  %8d  %5d  %s"
+        foot = "\n%-*s  %8s  %5s  %s\n" % (wide, "TOTAL", "", "", cells[total_poly])
+    tails = {p: line % (args.n - 1 - len(p), args.n - 2 - len(p), cells[p]) for p in kinds}
+    rows = [(pre + serial).ljust(wide) + tails[p] for serial, p in zip(serials, count_polys)]
     # the head and foot join the first and last rows, so the text is built
     # by one join: head + sep.join(rows) + foot would copy it twice more
     rows[0] = head + rows[0]

@@ -15,11 +15,15 @@ into at least three blocks is a center vertex, with no subtrees or two
 tallest subtrees of equal height.  A leg-free partition into two blocks is
 the center edge between two subtrees of equal height.  Every vertex of a
 subtree splits the legs below it into at least two blocks (Schroeder's total
-partitions, OEIS A000311).  Subtrees are memoized by leg set and exact
-height, for the heights a center can use.  A vertex with b blocks has
-valence b + 1, so the block sizes of the splits give the census of stratum
-types without building a tree: one integer partition of the legs stands for
-every set partition with its block sizes.
+partitions, OEIS A000311).  Subtrees are memoized by leg set: one walk of a
+block's splits builds them at every height a center can hang there, sorted
+by height, so those up to any height are a prefix.  The generator makes a
+serial and a count polynomial per tree and nothing else; table_columns
+sorts them, and a row or a DualTree is built only when strata_table is
+read.  A vertex with b blocks has valence b + 1, so the block sizes of the
+splits give the census of stratum types without building a tree: one
+integer partition of the legs stands for every set partition with its block
+sizes.
 
 Canonical form: a tree is serialized rooted at each graph-theoretic center
 as "(sorted,legs;child1child2...)" with children sorted by their own
@@ -38,18 +42,20 @@ builds the same nodes, and returns the same serial-made tree.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from bisect import bisect_right
+from collections import Counter, deque
 from dataclasses import FrozenInstanceError, dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from math import factorial, perm, prod
-from operator import attrgetter
+from operator import itemgetter
 
 from .algebra import (IntPoly, is_prime, poly_mul, require_int, require_prime_power,
                       require_size)
 
 ORBIT_GUARD_MAX_Q = 7   # the walk tests q points per matrix: 7^5 = 16807 tests, 3 ms at q = 7
 CENSUS_MAX_N = 20       # cold, the census takes 0.4 s and 17 MB at n = 20, 1.1-1.4 s at n = 22
-ENUMERATION_MAX_N = 9   # cold strata_table: 660032 trees in 6.8 s and 180 MB; n = 10 has 12818912
+ENUMERATION_MAX_N = 9   # cold strata_table: 660032 trees in 2.9-3.1 s and 173 MB (its columns
+                        # alone 1.6-1.9 s and 123 MB); n = 10 has 12818912
 
 
 def _frozen(cls):
@@ -129,19 +135,25 @@ class StratumInfo:
 # canonical form
 
 def _node(legs, kids) -> tuple:
-    """(serial, legs, kids, height, valences): the part of a tree below one
-    vertex and away from one neighbour, serialized from that vertex, with
-    the vertex's sorted legs, its kid nodes sorted by serial, its height in
-    edges, and the valence of every vertex in it in serial order, each
-    counting the edge towards that neighbour."""
+    """(serial, head, kid serials, height, valences): the part of a tree
+    below one vertex and away from one neighbour, serialized from that
+    vertex, with the head "(legs;" of that serial, its kids' serials in
+    sorted order, its height in edges, and the valence of every vertex in it
+    in serial order, each counting the edge towards that neighbour."""
     kids = sorted(kids)
     valences, height = (len(legs) + len(kids) + 1,), 0
     for kid in kids:
         valences += kid[4]
         if kid[3] >= height:
             height = kid[3] + 1
-    serial = "(%s;%s)" % (",".join(map(str, legs)), "".join([k[0] for k in kids]))
-    return serial, legs, kids, height, valences
+    head, kid_serials = "(%s;" % ",".join(map(str, legs)), [k[0] for k in kids]
+    return head + "".join(kid_serials) + ")", head, kid_serials, height, valences
+
+
+def _rooted_at(top, below) -> str:
+    """The serial of a tree with a centre edge between the nodes top and
+    below, rooted at top's vertex: below is one more kid there."""
+    return top[1] + "".join(sorted(top[2] + [below[0]])) + ")"
 
 
 _LEG_CHARS = str.maketrans("", "", "0123456789,")
@@ -249,11 +261,10 @@ def make_tree(vertex_count: int, edges, legs) -> DualTree:
     for layer in layers:  # from the earlier layers only, so a centre edge's ends stay apart
         built = [_node(legs_at[v], [node[u] for u in adj[v] if u in node]) for v in layer]
         node.update(zip(layer, built))
-    root = built[0]
     if len(built) == 2:  # a centre edge: the smaller serialization wins, as in _centres
         x, y = built
-        root = min(_node(x[1], x[2] + [y]), _node(y[1], y[2] + [x]))
-    return DualTree(len(root[4]), None, None, root[0])
+        return DualTree(len(x[4]) + len(y[4]), None, None, min(_rooted_at(x, y), _rooted_at(y, x)))
+    return DualTree(len(built[0][4]), None, None, built[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -278,68 +289,87 @@ def _splits(labels):
             yield tuple(b[0] for b in blocks if len(b) == 1), [b for b in blocks if len(b) > 1]
 
 
-def _branches(labels, height, memo) -> list:
-    """Every node with exactly the legs labels and exactly this height."""
-    if len(labels) < height + 2:  # a path down of height edges ends on two legs
-        return []
-    key = labels, height
-    if key not in memo:
-        if height == 0:
-            memo[key] = [_node(labels, [])]
+_height = itemgetter(3)
+
+
+def _subtrees(block, n, memo) -> list:
+    """Every node on the legs block up to the tallest that a centred tree
+    hangs there, min(|block|, n - |block|) - 2 edges, sorted by height, so
+    those up to any height are a prefix.  One walk of the block's splits
+    builds every height, and a block of cap 0 is one vertex, its splits
+    never walked."""
+    if block not in memo:
+        cap = min(len(block), n - len(block)) - 2
+        if cap <= 0:
+            memo[block] = [_node(block, ())]
         else:
-            memo[key] = [_node(legs, kids) for legs, blocks in _splits(labels)
-                         for kids in _kid_choices(blocks, height - 1, 1, memo)]
-    return memo[key]
+            nodes = [_node(legs, kids) for legs, blocks in _splits(block)
+                     for kids in itertools.product(*[_upto(b, cap - 1, n, memo) for b in blocks])]
+            nodes.sort(key=_height)
+            memo[block] = nodes
+    return memo[block]
 
 
-def _options(block, top, memo) -> tuple:
-    """(every node on the legs block of height at most top, a flag per node
-    that is true at height exactly top), built once per call of _centres.
-    Its memo key has three parts, so it never meets a key of _branches."""
-    key = block, top, None
+def _upto(block, top, n, memo) -> list:
+    """The nodes on the legs block of height at most top."""
+    nodes = _subtrees(block, n, memo)
+    return nodes[:bisect_right(nodes, top, key=_height)]
+
+
+def _columns(block, top, n, memo) -> tuple:
+    """(serials, valences, at-top flags) of the nodes on the legs block of
+    height at most top, built once per call of _centres.  Its memo key pairs
+    a block with a height, so it never meets a block's key."""
+    key = block, top
     if key not in memo:
-        option = [k for h in range(top + 1) for k in _branches(block, h, memo)]
-        memo[key] = option, [k[3] == top for k in option]
+        nodes = _upto(block, top, n, memo)
+        memo[key] = [k[0] for k in nodes], [k[4] for k in nodes], [k[3] == top for k in nodes]
     return memo[key]
 
 
-def _kid_choices(blocks, top, need, memo):
-    """Each choice of one node on every block, all of height at most top and
-    at least need of them of height exactly top."""
-    options = [_options(b, top, memo) for b in blocks]
-    # a second product, in step with the first, flags the kids at height top,
-    # so choosing costs no Python bytecode per choice
-    return itertools.compress(itertools.product(*[kids for kids, _ in options]),
-                              map(need.__le__, map(sum, itertools.product(
-                                  *[at_top for _, at_top in options]))))
+def _centres(n: int) -> tuple:
+    """(serials, count polynomials) of every stable tree with legs 1..n,
+    once each, serialized from its centre, in the order they are made.
 
-
-def _centres(n: int):
-    """Every stable tree with legs 1..n as a node rooted at its center, once.
-
-    The center is a vertex with at least three blocks and either no kids or
-    two tallest kids of equal height, or, for a leg-free split into two
-    blocks, the edge between the two kids.  The ends of that edge carry
-    disjoint legs and ";" is in no leg, so the heads "(legs;" of the two
-    serials decide which end roots the tree, unless both ends are leg-free.
+    The centre is a vertex with legs or at least three blocks and either no
+    kids or two tallest kids of equal height, or, for a leg-free split into
+    two blocks, the edge between two kids of equal height.  The ends of that
+    edge carry disjoint legs and ";" is in no leg, so the heads "(legs;" of
+    the two serials decide which end roots the tree, unless both ends are
+    leg-free.
     """
-    memo = {}
+    memo, serials, polys = {}, [], []
     for legs, blocks in _splits(tuple(range(1, n + 1))):
         if not blocks:
-            yield _node(legs, [])
+            serials.append(_node(legs, ())[0])
+            polys.append(_count_poly((n,)))
+        elif len(blocks) == 2 and not legs:
+            # kids of equal height on both blocks; both blocks have every
+            # height up to their common cap
+            for (_, xs), (_, ys) in zip(*[itertools.groupby(_subtrees(b, n, memo), _height)
+                                          for b in blocks]):
+                ys = list(ys)
+                for x in xs:
+                    for y in ys:
+                        if x[1] == y[1]:  # both heads are "(;"
+                            serials.append(min(_rooted_at(x, y), _rooted_at(y, x)))
+                        else:
+                            serials.append(_rooted_at(x, y) if x[0] < y[0] else _rooted_at(y, x))
+                        polys.append(_count_poly(x[4] + y[4]))
         elif len(blocks) >= 2:
-            reach = sorted(len(b) - 2 for b in blocks)  # the tallest kid each block fits
-            for height in range(reach[-2] + 1):
-                for kids in _kid_choices(blocks, height, 2, memo):
-                    if legs or len(kids) > 2:
-                        yield _node(legs, kids)
-                        continue
-                    x, y = kids  # a leg-free split into two blocks: the center edge
-                    if x[1] or y[1]:
-                        top, below = (x, y) if x[0] < y[0] else (y, x)
-                        yield _node(top[1], top[2] + [below])
-                    else:
-                        yield min(_node(x[1], x[2] + [y]), _node(y[1], y[2] + [x]))
+            pattern = "(%s;%%s)" % ",".join(map(str, legs))
+            own = partial(sum, start=(len(legs) + len(blocks),))  # no edge above the centre
+            # the second tallest block bounds the centre's height; a kid
+            # choice is kept when at least two kids reach it
+            for height in range(sorted(map(len, blocks))[-2] - 1):
+                serial_cols, valence_cols, flag_cols = zip(
+                    *[_columns(b, height, n, memo) for b in blocks])
+                keep = list(map((2).__le__, map(sum, itertools.product(*flag_cols))))
+                kids = itertools.compress(itertools.product(*serial_cols), keep)
+                serials += map(pattern.__mod__, map("".join, map(sorted, kids)))
+                kids = itertools.compress(itertools.product(*valence_cols), keep)
+                polys += map(_count_poly, map(own, kids))
+    return serials, polys
 
 
 def enumerate_stable_trees(n: int) -> tuple:
@@ -402,55 +432,59 @@ def open_stratum_poly(m: int) -> IntPoly:
     return poly
 
 
+@lru_cache(maxsize=None)
 def _count_poly(valences: tuple) -> IntPoly:
-    """Point count of a stratum with this sorted valence tuple."""
+    """Point count of a stratum whose vertices have these valences, in any
+    order.  Trees share few valence tuples in the orders _centres joins
+    them (32 among the 39208 trees at n = 8, 64 among the 660032 at n = 9),
+    so each is multiplied out once, as each type of the census is."""
     return reduce(poly_mul, map(open_stratum_poly, valences), (1,))
 
 
-@lru_cache(maxsize=None)
-def _rooted_poly(valences: tuple) -> IntPoly:
-    """Point count of the stratum of a centred node with these valences;
-    its root has no edge above it.  Trees share few valence tuples (32
-    among the 39208 trees at n = 8), so each is sorted once."""
-    return _count_poly(tuple(sorted((valences[0] - 1,) + valences[1:])))
+def _instances(cls, count: int, **columns) -> tuple:
+    """count instances of the slotted class cls, the i-th with each slot
+    named in columns set to the i-th value of its column, made without
+    running __init__ and with no Python call per instance: a class with a
+    Python __init__ is called through a generic slot, about 1 us per row at
+    n = 8."""
+    objects = tuple(map(object.__new__, itertools.repeat(cls, count)))
+    for name, values in columns.items():
+        deque(map(getattr(cls, name).__set__, objects, values), maxlen=0)
+    return objects
 
 
-# a class with a Python __init__ is called through a generic slot, about
-# 1 us per row at n = 8, so table rows fill their slots directly
-_set_vertex_count, _set_serial = DualTree.vertex_count.__set__, DualTree.serial.__set__
-_set_tree, _set_count_poly, _set_edge_count = (
-    StratumInfo.tree.__set__, StratumInfo.count_poly.__set__, StratumInfo.edge_count.__set__)
+@lru_cache(maxsize=None, typed=True)
+def table_columns(n: int) -> tuple:
+    """(serials, count polynomials) of every stable tree with n legs, in
+    enumeration order: by vertex count, then by serial.
 
-
-def _table_row(serial: str, valences: tuple) -> StratumInfo:
-    """StratumInfo(DualTree(len(valences), None, None, serial), its count
-    polynomial, len(valences) - 1) for a centred node, built without
-    running either __init__; the tree's edges and legs stay unset, so it
-    numbers itself from its serial when they are first read."""
-    tree = object.__new__(DualTree)
-    _set_vertex_count(tree, len(valences))
-    _set_serial(tree, serial)
-    row = object.__new__(StratumInfo)
-    _set_tree(row, tree)
-    _set_count_poly(row, _rooted_poly(valences))
-    _set_edge_count(row, len(valences) - 1)
-    return row
+    A stratum with V vertices has a count polynomial of degree n - 2 - V,
+    so V is n - 1 - len(count_poly), and neither a tree nor a row is built.
+    The memo is typed, so 5.0 never reads the entry of 5 and is refused here.
+    """
+    require_size("n", n, 3, ENUMERATION_MAX_N, "the stratum enumeration bound")
+    serials, polys = _centres(n)
+    # stable sorts of indices on one key each, serials and then fewer
+    # vertices first, beat one sort on pairs
+    order = sorted(range(len(serials)), key=serials.__getitem__)
+    order.sort(key=list(map(len, polys)).__getitem__, reverse=True)
+    return tuple(map(serials.__getitem__, order)), tuple(map(polys.__getitem__, order))
 
 
 @lru_cache(maxsize=None, typed=True)
 def strata_table(n: int) -> tuple:
-    """StratumInfo for every stable tree with n legs, in enumeration order.
+    """StratumInfo for every stable tree with n legs, in enumeration order,
+    one row per entry of table_columns(n).
 
-    No tree is numbered: each row's count polynomial comes from the
-    valences the generator carries, and its tree from the serial.  The
-    memo is typed, so 5.0 never reads the entry of 5 and is refused here.
-    """
-    require_size("n", n, 3, ENUMERATION_MAX_N, "the stratum enumeration bound")
-    rows = [_table_row(serial, valences) for serial, _, _, _, valences in _centres(n)]
-    # stable sorts on one key each, strings then ints, beat one sort on pairs
-    rows.sort(key=attrgetter("tree.serial"))
-    rows.sort(key=attrgetter("edge_count"))
-    return tuple(rows)
+    No tree is numbered: each row's tree is made from its serial.  The memo
+    is typed, as table_columns' is."""
+    serials, polys = table_columns(n)
+    # each tree numbers itself from its serial when its edges or legs are
+    # first read; a tree with V vertices has V - 1 edges
+    trees = _instances(DualTree, len(serials), serial=serials,
+                       vertex_count=map((n - 1).__sub__, map(len, polys)))
+    return _instances(StratumInfo, len(serials), tree=trees, count_poly=polys,
+                      edge_count=map((n - 2).__sub__, map(len, polys)))
 
 
 @lru_cache(maxsize=None, typed=True)

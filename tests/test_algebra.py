@@ -21,8 +21,10 @@ from m0nbar.algebra import (
     poly_eval,
     poly_mul,
     poly_str,
+    require_int,
     require_prime,
     require_prime_power,
+    require_size,
     series_compose,
     _strong_probable_prime,
 )
@@ -242,12 +244,21 @@ def test_prime_checks_refuse_non_ints():
     assert [is_prime_power(m) for m in (2, 7, 9, 10)] == [True, True, True, False]
 
 
+def test_sizes_refuse_bool():
+    # bool subclasses int, so an isinstance check alone would take True as 1
+    for value in (True, False):
+        for check in (lambda v: require_int("n", v), lambda v: require_size("n", v, 0)):
+            with pytest.raises(ValueError, match="^n = %r is not an int$" % value):
+                check(value)
+    require_int("n", 1)
+    require_size("n", 0, 0)
+
+
 def test_prime_power_memo_is_typed():
-    # 9.0 and 1.0 hash like 9 and True; an untyped memo keys a lone int by
-    # itself, but True, an int of another type, by a tuple that (1.0,) equals,
-    # so without types it would answer 1.0 from True's entry
-    assert is_prime_power(9) and not is_prime_power(True)
-    for bad in (9.0, 1.0, Fraction(1)):
+    # 9.0, 1.0 and True hash like 9 and 1; each is refused by name on every
+    # call, after the ints' answers are in the memo, and never read from it
+    assert is_prime_power(9) and not is_prime_power(1)
+    for bad in (9.0, 1.0, Fraction(1), True):
         for _ in range(2):
             with pytest.raises(ValueError, match="^m = %s is not an int$" % re.escape(repr(bad))):
                 is_prime_power(bad)

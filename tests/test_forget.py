@@ -164,12 +164,10 @@ def test_checking_memos_refuse_after_a_valid_call():
         call(9)
         sizes = [memo.cache_info().currsize for memo in memos]
         for _ in range(2):
-            for bad in (9.0, Fraction(9), "9", None):
+            for bad in (9.0, Fraction(9), "9", None, True):
                 with pytest.raises(ValueError, match="^" + re.escape("q = %r is not an int"
                                                                    % (bad,)) + "$"):
                     call(bad)
-            with pytest.raises(ValueError, match="^q = True is not a prime power$"):
-                call(True)
             with pytest.raises(TypeError):
                 call([9])   # unhashable, so no memo key
         assert [memo.cache_info().currsize for memo in memos] == sizes
@@ -177,10 +175,12 @@ def test_checking_memos_refuse_after_a_valid_call():
 
 def test_entry_points_reject_non_int_n_every_call():
     # 5.0 and Fraction(5) hash like 5, so a memo keyed on n would answer
-    # them once 5 is in it; each is refused before and after the valid calls
+    # them once 5 is in it, and True would pass an isinstance check as 1;
+    # each is refused before and after the valid calls
     entry_points = (
         (poincare_poly, "n"),
         (strata_table, "n"),
+        (strata.table_columns, "n"),
         (stratum_census, "n"),
         (open_stratum_poly, "m"),
         (lambda n: stratified_count(n, 2), "n"),
@@ -202,7 +202,7 @@ def test_entry_points_reject_non_int_n_every_call():
     )
     for call, name in entry_points:
         for _ in range(2):
-            for bad in (5.0, Fraction(5), "5", None):
+            for bad in (5.0, Fraction(5), "5", None, True):
                 # the exact value, so that a check on n + 1 does not pass for n
                 with pytest.raises(ValueError, match="^" + re.escape("%s = %r is not an int"
                                                                    % (name, bad))):

@@ -70,6 +70,11 @@ def test_invalid_n():
         betti(1, 0)
     with pytest.raises(ValueError):
         point_count(2, 5)
+    # a bool is no size, though True == 1 and betti(5, 1) == 5
+    with pytest.raises(ValueError, match="^k = True is not an int$"):
+        betti(5, True)
+    with pytest.raises(ValueError, match="^n = True is not an int$"):
+        betti(True, 0)
 
 
 def test_point_count_examples():

@@ -129,17 +129,35 @@ TABLE_SHA256 = {
 }
 
 
-def test_cold_table_digests_pinned():
-    # __wrapped__ skips the lru_cache, so each call generates its trees
-    # afresh with a memo of its own; a second cold call gives equal rows, so
-    # nothing the first leaves behind changes the next
-    for n, digest in TABLE_SHA256.items():
+@pytest.fixture
+def cold_table(monkeypatch):
+    """strata_table from a fresh run of the generator on every call:
+    __wrapped__ skips the table's lru_cache, and table_columns is swapped
+    for its own __wrapped__, so the columns' cache is skipped too and the
+    trees are generated afresh, with a memo of their own."""
+    runs = []
+    centres = strata._centres
+    monkeypatch.setattr(strata, "_centres", lambda n: runs.append(n) or centres(n))
+    monkeypatch.setattr(strata, "table_columns", strata.table_columns.__wrapped__)
+
+    def table(n):
+        before = len(runs)
         rows = strata_table.__wrapped__(n)
+        assert runs[before:] == [n]  # the generator ran once, for this table
+        return rows
+    return table
+
+
+def test_cold_table_digests_pinned(cold_table):
+    # each cold_table call generates its trees afresh; a second cold call
+    # gives equal rows, so nothing the first leaves behind changes the next
+    for n, digest in TABLE_SHA256.items():
+        rows = cold_table(n)
         assert _sha256_lines(
             "%s %s %d" % (row.tree.serial, ",".join(map(str, row.count_poly)), row.edge_count)
             for row in rows
         ) == digest, n
-        again = strata_table.__wrapped__(n)
+        again = cold_table(n)
         assert again == rows and [r.tree.serial for r in again] == [r.tree.serial for r in rows]
 
 
@@ -151,6 +169,39 @@ def test_table_rows_equal_constructed_rows():
             tree = DualTree(row.tree.vertex_count, None, None, row.tree.serial)
             made = StratumInfo(tree, row.count_poly, row.edge_count)
             assert repr(row) == repr(made) and row == made and hash(row) == hash(made)
+
+
+def test_table_rows_follow_the_columns():
+    # a row is its serial and count polynomial from table_columns, in order;
+    # its vertex count is n - 1 - len(count_poly), here against the tree
+    # that an independent parser numbers from the serial
+    for n in range(3, 8):
+        serials, polys = strata.table_columns(n)
+        rows = strata_table(n)
+        assert [row.tree.serial for row in rows] == list(serials)
+        assert [row.count_poly for row in rows] == list(polys)
+        for row in rows:
+            vertices = _parse_serial(row.tree.serial).vertex_count
+            assert row.tree.vertex_count == vertices == n - 1 - len(row.count_poly)
+            assert row.edge_count == vertices - 1
+
+
+def test_each_block_is_walked_once(monkeypatch):
+    # the generator walks each label set's splits once, for every height at
+    # once; a block of cap min(|b|, n - |b|) - 2 <= 0 is one vertex, unwalked
+    walked = Counter()
+    splits = strata._splits
+
+    def counted(labels):
+        walked[labels] += 1
+        return splits(labels)
+
+    monkeypatch.setattr(strata, "_splits", counted)
+    serials, _ = strata.table_columns.__wrapped__(7)
+    assert len(serials) == SCHROEDER[7]
+    assert walked[tuple(range(1, 8))] == 1 and max(walked.values()) == 1
+    assert all(min(len(b), 7 - len(b)) > 2 for b in walked if len(b) < 7)
+    assert len(walked) == 1 + comb(7, 3) + comb(7, 4)
 
 
 def test_census_matches_table():
@@ -280,10 +331,10 @@ def test_rows_and_trees_refuse_every_assignment():
     assert lazy == enumerate_stable_trees(5)[-1] and lazy.edges
 
 
-def test_dual_tree_contract_survives_lazy_numbering():
-    # an uncached run of the generator gives trees whose structure was never
-    # read; each check runs first on some of them, then again after edges
-    # has been read
+def test_dual_tree_contract_survives_lazy_numbering(cold_table):
+    # a cold_table call, a fresh run of the generator past both caches,
+    # gives trees whose structure was never read; each check runs first on
+    # some of them, then again after edges has been read
     def check(name, tree, known):
         made = make_tree(known.vertex_count, known.edges, dict(enumerate(known.legs, start=1)))
         bare = DualTree(known.vertex_count, known.edges, known.legs)
@@ -300,7 +351,7 @@ def test_dual_tree_contract_survives_lazy_numbering():
     names = ("hash", "eq", "repr")
     for n in (5, 6, 7):
         for first in names:
-            fresh = [row.tree for row in strata_table.__wrapped__(n)]
+            fresh = [row.tree for row in cold_table(n)]
             for tree, known in zip(fresh, enumerate_stable_trees(n), strict=True):
                 if first == "hash":
                     for field in ("vertex_count", "edges", "legs", "serial"):
@@ -449,6 +500,7 @@ def test_make_tree_validation():
     # every size and vertex that is not an int is refused by name, first
     for count, text in ((1.0, "vertex_count = 1.0 is not an int"),
                         ("1", "vertex_count = '1' is not an int"),
+                        (True, "vertex_count = True is not an int"),
                         (-1, "vertex_count must be >= 1"), (0, "vertex_count must be >= 1")):
         with pytest.raises(ValueError, match=text):
             make_tree(count, [], {1: 0, 2: 0, 3: 0})
@@ -456,10 +508,13 @@ def test_make_tree_validation():
         make_tree(2, [(0.0, 1)], {1: 0, 2: 0, 3: 1, 4: 1})
     with pytest.raises(ValueError, match="vertex = 0.0 is not an int"):
         make_tree(1, [], {1: 0, 2: 0, 3: 0.0})
+    with pytest.raises(ValueError, match="vertex = False is not an int"):
+        make_tree(1, [], {1: 0, 2: 0, 3: False})
     with pytest.raises(ValueError, match="vertex = '1' is not an int"):  # before any edge check
         make_tree(2, [(0, 0), (0, "1")], {1: 0, 2: 0, 3: 1, 4: 1})
     for label, text in ((1.0, "leg label = 1.0 is not an int"),
-                        (Fraction(1), r"leg label = Fraction\(1, 1\) is not an int")):
+                        (Fraction(1), r"leg label = Fraction\(1, 1\) is not an int"),
+                        (True, "leg label = True is not an int")):
         with pytest.raises(ValueError, match=text):
             make_tree(1, [], {label: 0, 2: 0, 3: 0})
 
