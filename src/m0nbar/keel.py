@@ -8,9 +8,7 @@ the Poincare polynomials P_n(s) = sum_k a_k(n) s^k satisfy
     P_3 = 1,
     P_{n+1} = (1 + s) P_n + (s/2) * sum_{j=2}^{n-2} C(n,j) P_{j+1} P_{n-j+1},
 
-and |Mbar_{0,n}(F_q)| = P_n(q) for every prime power q.  Rows are built
-once, bottom-up, into one module-level dict; poincare_poly returns the
-stored tuple and betti reads it.
+and |Mbar_{0,n}(F_q)| = P_n(q) for every prime power q.
 
 By Poincare duality every row is palindromic, a_k(n) = a_{n-3-k}(n), so
 it is a polynomial in u = s + 1/s: with h = (n-3)//2,
@@ -22,13 +20,15 @@ and R_n has h + 1 coefficients.  The recurrence holds at every value of
 s, hence of u: (1 + s) P_n becomes R_n, or (u + 2) R_n for odd n - 3
 since (1 + s)^2 = s (u + 2), and each product P_{j+1} P_{n-j+1} becomes
 R_{j+1} R_{n-j+1}, times (u + 2) when both rows have odd degree.  So the
-rows are built as values: each point u = x = 0, 1, ... keeps the values
-R_n(x) of every row, each new row is the recurrence run on those integers
-at each point, and its h + 1 coefficients are read back from its values at
-x = 0..h by exact interpolation.  A point first needed by a row runs the
-recurrence from row 3 up.  Each R is turned back into powers of s by
-Horner's rule in u on its lower half, which is then mirrored, so the rows
-are palindromic by construction.
+rows are kept as values: each point u = x = 0, 1, ... keeps the values
+R_3(x), R_4(x), ... in one list, each new value is the recurrence run on
+those integers, and a list only grows, one whole value at a time.  Row n is
+made when it is first asked for: each of the points x = 0..h is run up to
+row n (a new point from row 3), and the h + 1 coefficients of R_n are read
+back from its values there by exact interpolation.  R_n is turned back
+into powers of s by Horner's rule in u on its lower half, which is then
+mirrored, so the rows are palindromic by construction; the row is cached,
+and betti reads it.
 """
 
 from __future__ import annotations
@@ -43,16 +43,11 @@ from .algebra import (
 )
 from .report import make_report
 
-KEEL_MAX_N = 175  # rows up to n = 175 build cold in about 0.5 s; the cost grows about as n^3.5
+KEEL_MAX_N = 175  # a cold row 175 takes 0.22-0.29 s; the cost grows about as n^3.5
 
-
-# Row n is the coefficient tuple (a_0(n), ..., a_{n-3}(n)) of P_n.  Rows are
-# built bottom-up, so the keys are 3 up to the largest row built, and a row
-# is never mutated once stored.
-_ROWS = {3: (1,)}
-# _VALUES[x][n] = R_n(x) for every row n in _ROWS, one list per point
-# x = 0, 1, ..., at least as many points as the largest row has
-# coefficients; entries 0..2 of each list are unused.
+# _VALUES[x][k] = R_k(x), one list per point x = 0, 1, ...; entries 0..2 are
+# unused.  A list only grows by one whole value, so each is always a prefix
+# of the values of rows 3, 4, ... at its point.
 _VALUES = [[0, 0, 0, 1]]
 
 
@@ -129,29 +124,19 @@ def betti(n: int, k: int) -> int:
 def poincare_poly(n: int) -> IntPoly:
     """P_n as a polynomial in s = t^2; degree is exactly n-3."""
     require_int("n", n)  # before the lookup: 5.0 hashes like 5 and would read row 5
-    row = _ROWS.get(n)
-    if row is not None:
-        return row
+    return _row(n)
+
+
+@lru_cache(maxsize=None)
+def _row(n: int) -> IntPoly:
     require_size("n", n, 3, KEEL_MAX_N, "the Keel row bound")
-    rows, values = _ROWS, _VALUES
-    last = len(rows) + 2
-    # R_n has (n - 1)//2 coefficients, so rows up to n need that many
-    # points; new points catch up from row 3 to the last row built
-    fresh = [[0, 0, 0, 1] for _ in range(len(values), (n - 1) // 2)]
-    for x, v in enumerate(fresh, len(values)):
-        for m in range(3, last):
+    # R_n has (n - 1)//2 coefficients, so row n needs that many points
+    _VALUES.extend([0, 0, 0, 1] for _ in range(len(_VALUES), (n - 1) // 2))
+    points = _VALUES[:(n - 1) // 2]
+    for x, v in enumerate(points):
+        for m in range(len(v) - 1, n):
             v.append(_next_value(v, m, x))
-    points = values + fresh
-    for m in range(last, n):
-        ys = [_next_value(v, m, x) for x, v in enumerate(points)]
-        row = _in_powers_of_s(_interpolate(ys[:m // 2]), m % 2 == 1)
-        # commit only now, the values first and by index, so that a build
-        # cut short leaves the tables as they were or is redone
-        for v, y in zip(points, ys):
-            v[m + 1:] = (y,)
-        values[:] = points
-        rows[m + 1] = row
-    return rows[n]
+    return _in_powers_of_s(_interpolate([v[n] for v in points]), n % 2 == 0)
 
 
 def point_count(n: int, q: int) -> int:

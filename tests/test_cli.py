@@ -391,7 +391,7 @@ def test_verify_zeta_output_budget_is_checked_before_any_row(capsys, monkeypatch
         raise AssertionError("a report was computed before the output size was checked")
 
     monkeypatch.setattr(zeta, "verify_zeta_counts", refuse)
-    built = len(keel._ROWS)
+    state = [len(v) for v in keel._VALUES], keel._row.cache_info().currsize
     p = str(2**61 - 1)
     for max_n, q, order, digits in (("175", p, "25", "1.79e+08"), ("60", p, "20", "1.28e+07"),
                                     ("175", "2", "45", "1.16e+07")):
@@ -399,7 +399,7 @@ def test_verify_zeta_output_budget_is_checked_before_any_row(capsys, monkeypatch
                                  "--order", order)
         assert (code, out, err) == (2, "", "error: verify zeta would print about %s digits, "
                                            "beyond its budget of 1e+07\n" % digits)
-    assert len(keel._ROWS) == built
+    assert ([len(v) for v in keel._VALUES], keel._row.cache_info().currsize) == state
 
 
 def test_verify_zeta_digit_estimate_bounds_the_printed_digits(capsys):

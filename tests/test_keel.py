@@ -1,7 +1,7 @@
 import hashlib
 import random
 import time
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -124,27 +124,32 @@ def test_row_seven_and_betti_outside_the_row():
         poincare_poly(2)
 
 
+def _table_state():
+    return [len(v) for v in keel._VALUES], keel._row.cache_info().currsize
+
+
 def test_rows_beyond_the_bound_are_refused_before_any_is_built():
-    # the rows test_rows_digest_pinned covers stay inside the bound
-    assert KEEL_MAX_N >= 150
-    built = len(keel._ROWS)
-    values = [list(v) for v in keel._VALUES]
+    # the rows the pinned digests cover stay inside the bound
+    assert KEEL_MAX_N >= 175
+    state = _table_state()
     start = time.perf_counter()
     with pytest.raises(ValueError, match=r"Keel row bound \(%d\)" % KEEL_MAX_N):
         poincare_poly(KEEL_MAX_N + 1)
     assert time.perf_counter() - start < 0.01
-    assert len(keel._ROWS) == built
-    assert keel._VALUES == values
+    assert _table_state() == state
     assert poincare_poly(4) == (1, 1)
 
 
 # sha256 of the rows P_3 .. P_150, one comma-separated line per row, pinned
 # from the unpaired kernel that summed every j of the double sum
 ROWS_3_TO_150_SHA256 = "303e9911b2f2b9dc15dd8a1f5f656552ed5fd3727e72316fe9cc8e12139baeee"
+# the same for P_151 .. P_175, pinned from the rows built bottom-up into a
+# dict beside the values, before rows were interpolated on demand
+ROWS_151_TO_175_SHA256 = "9c1144ffe4fbc74076cc4b0a222e93a4908f81d82867e9aa3b862d58c88af9ae"
 
 
-def _rows_digest():
-    text = "\n".join(",".join(map(str, poincare_poly(k))) for k in range(3, 151))
+def _rows_digest(first=3, last=150):
+    text = "\n".join(",".join(map(str, poincare_poly(k))) for k in range(first, last + 1))
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -152,47 +157,119 @@ def test_rows_digest_pinned():
     assert _rows_digest() == ROWS_3_TO_150_SHA256
 
 
-def _empty_tables(monkeypatch):
-    monkeypatch.setattr(keel, "_ROWS", {3: (1,)})
+def test_rows_151_to_175_digest_pinned():
+    assert _rows_digest(151, 175) == ROWS_151_TO_175_SHA256
+
+
+@pytest.fixture
+def empty_tables(monkeypatch):
+    # the row cache is cleared with every swap of the values, so no row
+    # read from one table is served beside another
     monkeypatch.setattr(keel, "_VALUES", [[0, 0, 0, 1]])
+    keel._row.cache_clear()
+    yield
+    keel._row.cache_clear()
 
 
-@pytest.mark.parametrize("calls", [(150,), tuple(range(3, 151)), (60, 150)],
-                         ids=["cold", "rising", "points-added-to-a-deep-table"])
-def test_every_build_order_gives_the_pinned_rows(monkeypatch, calls):
-    _empty_tables(monkeypatch)
+@pytest.mark.parametrize("calls", [(150,), tuple(range(3, 151)), (60, 150), (175, 60, 3)],
+                         ids=["cold", "rising", "points-added-to-a-deep-table", "descending"])
+def test_every_build_order_gives_the_pinned_rows(empty_tables, calls):
     for n in calls:
         poincare_poly(n)
-    assert len(keel._ROWS) == 148 and len(keel._VALUES) == 74
+    top = max(calls)
+    assert len(keel._VALUES) == (top - 1) // 2
+    assert all(len(v) == top + 1 for v in keel._VALUES)
     assert _rows_digest() == ROWS_3_TO_150_SHA256
+    if top == 175:
+        assert _rows_digest(151, 175) == ROWS_151_TO_175_SHA256
 
 
-@pytest.mark.parametrize("fail_at, error", [(1, KeyboardInterrupt), (5, InexactDivisionError)])
-def test_a_failed_build_leaves_whole_rows(monkeypatch, fail_at, error):
-    _empty_tables(monkeypatch)
-    poincare_poly(40)
-    rows, values = dict(keel._ROWS), [list(v) for v in keel._VALUES]
+def test_a_cold_row_interpolates_only_itself(empty_tables, monkeypatch):
     interpolate, calls = keel._interpolate, []
 
-    def fail_once(ys):
-        calls.append(len(ys))
-        if len(calls) == fail_at:
-            raise error("cut short")
-        return interpolate(ys)
+    def count(values):
+        calls.append(len(values))
+        return interpolate(values)
 
-    monkeypatch.setattr(keel, "_interpolate", fail_once)
-    with pytest.raises(error):
+    monkeypatch.setattr(keel, "_interpolate", count)
+    poincare_poly(150)
+    assert calls == [74]
+    poincare_poly(60)
+    assert calls == [74, 29]
+    # a row asked for again is read from the cache
+    poincare_poly(150)
+    assert len(calls) == 2
+
+
+@pytest.fixture(scope="module")
+def clean_values_to_80():
+    values = keel._VALUES
+    keel._VALUES = [[0, 0, 0, 1]]
+    keel._row.cache_clear()
+    try:
         poincare_poly(80)
-    # the rows before the failing one are committed whole, and only they;
-    # every point holds the values of exactly the rows in _ROWS
-    last = 40 + fail_at - 1
-    assert list(keel._ROWS) == list(range(3, last + 1))
-    assert all(keel._ROWS[n] == row for n, row in rows.items())
-    if last == 40:
-        assert keel._VALUES == values
-    assert all(len(v) == last + 1 for v in keel._VALUES)
-    assert len(keel._VALUES) >= (last - 1) // 2
+        return keel._VALUES
+    finally:
+        keel._VALUES = values
+        keel._row.cache_clear()
+
+
+# poincare_poly(80) after poincare_poly(40) runs 19 points from row 41 up
+# and 20 new points from row 4 up: 19 * 40 + 20 * 77 = 2300 values
+@pytest.mark.parametrize("cut_at", [1, 500, 2300])
+def test_a_build_cut_short_leaves_prefixes(empty_tables, monkeypatch, clean_values_to_80,
+                                           cut_at):
+    poincare_poly(40)
+    next_value, calls = keel._next_value, []
+
+    def cut(v, m, x):
+        calls.append(m)
+        if len(calls) == cut_at:
+            raise KeyboardInterrupt
+        return next_value(v, m, x)
+
+    monkeypatch.setattr(keel, "_next_value", cut)
+    with pytest.raises(KeyboardInterrupt):
+        poincare_poly(80)
+    assert len(calls) == cut_at
+    assert sum(map(len, clean_values_to_80)) == 19 * 41 + 20 * 4 + 2300
+    # every point holds a prefix of its clean values, the cut one included
+    assert len(keel._VALUES) == len(clean_values_to_80)
+    for v, clean in zip(keel._VALUES, clean_values_to_80):
+        assert 4 <= len(v) <= len(clean) and v == clean[:len(v)]
+    assert sum(map(len, keel._VALUES)) == 19 * 41 + 20 * 4 + cut_at - 1
+    monkeypatch.setattr(keel, "_next_value", next_value)
     assert _rows_digest() == ROWS_3_TO_150_SHA256
+    assert _rows_digest(151, 175) == ROWS_151_TO_175_SHA256
+
+
+def test_a_failed_interpolation_memoizes_nothing(empty_tables, monkeypatch):
+    poincare_poly(40)
+    cached = keel._row.cache_info().currsize
+
+    def fail(values):
+        raise InexactDivisionError("cut short")
+
+    interpolate = keel._interpolate
+    monkeypatch.setattr(keel, "_interpolate", fail)
+    for _ in range(2):
+        with pytest.raises(InexactDivisionError):
+            poincare_poly(80)
+    assert keel._row.cache_info().currsize == cached
+    monkeypatch.setattr(keel, "_interpolate", interpolate)
+    assert _rows_digest() == ROWS_3_TO_150_SHA256
+
+
+def test_rows_at_minus_one_match_the_real_points():
+    # P_n(-1) is the Euler characteristic of the real points of Mbar_{0,n}
+    # (Etingof, Henriques, Kamnitzer and Rains), prod_i (1 - (n-3-2i)^2)
+    # over 0 <= i < (n-2)//2; it is 0 for every even n
+    for n in range(3, KEEL_MAX_N + 1):
+        row = poincare_poly(n)
+        euler = prod(1 - (n - 3 - 2 * i) ** 2 for i in range((n - 2) // 2))
+        assert sum(row[0::2]) - sum(row[1::2]) == euler, n
+    assert [prod(1 - (n - 3 - 2 * i) ** 2 for i in range((n - 2) // 2))
+            for n in range(3, 12)] == [1, 0, -3, 0, 45, 0, -1575, 0, 99225]
 
 
 def test_interpolation_is_exact():
