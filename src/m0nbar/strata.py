@@ -15,10 +15,15 @@ into at least three blocks is a center vertex, with no subtrees or two
 tallest subtrees of equal height.  A leg-free partition into two blocks is
 the center edge between two subtrees of equal height.  Every vertex of a
 subtree splits the legs below it into at least two blocks (Schroeder's total
-partitions, OEIS A000311).  Subtrees are memoized by leg set: one walk of a
-block's splits builds them at every height a center can hang there, sorted
-by height, so those up to any height are a prefix.  The generator makes a
-serial and a count polynomial per tree and nothing else; table_columns
+partitions, OEIS A000311).  Subtrees are memoized by leg set, sorted by
+height, so those up to any height are a prefix.  The splits of the block
+(1, ..., k) are walked once per size k, building its subtrees at every
+height a center can hang there, and every other block of k legs relabels
+those nodes by the order-preserving map i -> block[i - 1].  Labels are
+single digits while n <= 9, so the relabelling keeps every sort that makes
+a serial canonical, and the count polynomials of a center's split depend on
+its shape alone: they are multiplied out once per shape.  The generator
+makes a serial and a count polynomial per tree and nothing else; table_columns
 sorts them, and a row or a DualTree is built only when strata_table is
 read.  A vertex with b blocks has valence b + 1, so the block sizes of the
 splits give the census of stratum types without building a tree: one
@@ -45,7 +50,7 @@ import itertools
 from bisect import bisect_right
 from collections import Counter, deque
 from dataclasses import FrozenInstanceError, dataclass, field
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
 from math import factorial, perm, prod
 from operator import itemgetter
 
@@ -54,8 +59,9 @@ from .algebra import (IntPoly, is_prime, poly_mul, require_int, require_prime_po
 
 ORBIT_GUARD_MAX_Q = 7   # the walk tests q points per matrix: 7^5 = 16807 tests, 3 ms at q = 7
 CENSUS_MAX_N = 20       # cold, the census takes 0.4 s and 17 MB at n = 20, 1.1-1.4 s at n = 22
-ENUMERATION_MAX_N = 9   # cold strata_table: 660032 trees in 2.9-3.1 s and 173 MB (its columns
-                        # alone 1.6-1.9 s and 123 MB); n = 10 has 12818912
+ENUMERATION_MAX_N = 9   # relabelling blocks needs one-digit labels 1..9; cold strata_table:
+                        # 660032 trees in 2.7-2.9 s and 175 MB (its columns alone 1.0-1.4 s
+                        # and 125 MB); n = 10 has 12818912
 
 
 def _frozen(cls):
@@ -290,23 +296,36 @@ def _splits(labels):
 
 
 _height = itemgetter(3)
+_DIGITS = "123456789"
 
 
 def _subtrees(block, n, memo) -> list:
     """Every node on the legs block up to the tallest that a centred tree
     hangs there, min(|block|, n - |block|) - 2 edges, sorted by height, so
-    those up to any height are a prefix.  One walk of the block's splits
-    builds every height, and a block of cap 0 is one vertex, its splits
-    never walked."""
+    those up to any height are a prefix.  A block of cap 0 is one vertex,
+    its splits never walked.  Otherwise the splits of the block (1, ..., k)
+    of its size k are walked once, for every height, and any other block
+    of k legs relabels those nodes: labels are single digits while
+    n <= ENUMERATION_MAX_N, so the map i -> block[i - 1] keeps every sort
+    that orders a serial, and heights and valences are unchanged."""
     if block not in memo:
-        cap = min(len(block), n - len(block)) - 2
+        k = len(block)
+        cap = min(k, n - k) - 2
         if cap <= 0:
             memo[block] = [_node(block, ())]
-        else:
+        elif block[-1] == k:
             nodes = [_node(legs, kids) for legs, blocks in _splits(block)
                      for kids in itertools.product(*[_upto(b, cap - 1, n, memo) for b in blocks])]
             nodes.sort(key=_height)
             memo[block] = nodes
+        else:
+            table = str.maketrans(_DIGITS[:k], "".join(map(str, block)))
+            nodes = _subtrees(tuple(range(1, k + 1)), n, memo)
+            # a kid serial recurs across the block's nodes: relabel it once
+            kid = {serial: serial.translate(table) for node in nodes for serial in node[2]}
+            memo[block] = [(serial.translate(table), head.translate(table),
+                            list(map(kid.__getitem__, kids)), height, valences)
+                           for serial, head, kids, height, valences in nodes]
     return memo[block]
 
 
@@ -316,14 +335,13 @@ def _upto(block, top, n, memo) -> list:
     return nodes[:bisect_right(nodes, top, key=_height)]
 
 
-def _columns(block, top, n, memo) -> tuple:
-    """(serials, valences, at-top flags) of the nodes on the legs block of
-    height at most top, built once per call of _centres.  Its memo key pairs
-    a block with a height, so it never meets a block's key."""
+def _column(block, top, n, memo) -> list:
+    """The serials of the nodes on the legs block of height at most top,
+    listed once per call of _centres.  Its memo key pairs a block with a
+    height, so it never meets a block's key."""
     key = block, top
     if key not in memo:
-        nodes = _upto(block, top, n, memo)
-        memo[key] = [k[0] for k in nodes], [k[4] for k in nodes], [k[3] == top for k in nodes]
+        memo[key] = [k[0] for k in _upto(block, top, n, memo)]
     return memo[key]
 
 
@@ -336,9 +354,12 @@ def _centres(n: int) -> tuple:
     two blocks, the edge between two kids of equal height.  The ends of that
     edge carry disjoint legs and ";" is in no leg, so the heads "(legs;" of
     the two serials decide which end roots the tree, unless both ends are
-    leg-free.
+    leg-free.  Blocks of one size carry the same heights and valences in the
+    same order, so the count polynomials of a split, and which kid choices
+    it keeps, depend on its shape alone: they are worked out once per shape,
+    and every split of that shape reads them.
     """
-    memo, serials, polys = {}, [], []
+    memo, shapes, serials, polys = {}, {}, [], []
     for legs, blocks in _splits(tuple(range(1, n + 1))):
         if not blocks:
             serials.append(_node(legs, ())[0])
@@ -346,29 +367,37 @@ def _centres(n: int) -> tuple:
         elif len(blocks) == 2 and not legs:
             # kids of equal height on both blocks; both blocks have every
             # height up to their common cap
-            for (_, xs), (_, ys) in zip(*[itertools.groupby(_subtrees(b, n, memo), _height)
-                                          for b in blocks]):
-                ys = list(ys)
-                for x in xs:
-                    for y in ys:
-                        if x[1] == y[1]:  # both heads are "(;"
-                            serials.append(min(_rooted_at(x, y), _rooted_at(y, x)))
-                        else:
-                            serials.append(_rooted_at(x, y) if x[0] < y[0] else _rooted_at(y, x))
-                        polys.append(_count_poly(x[4] + y[4]))
+            pairs = [(x, y) for (_, xs), (_, ys) in
+                     zip(*[itertools.groupby(_subtrees(b, n, memo), _height) for b in blocks])
+                     for x, y in itertools.product(xs, ys)]
+            for x, y in pairs:
+                if x[1] == y[1]:  # both heads are "(;"
+                    serials.append(min(_rooted_at(x, y), _rooted_at(y, x)))
+                else:
+                    serials.append(_rooted_at(x, y) if x[0] < y[0] else _rooted_at(y, x))
+            shape = tuple(map(len, blocks))
+            if shape not in shapes:
+                shapes[shape] = [_count_poly(x[4] + y[4]) for x, y in pairs]
+            polys += shapes[shape]
         elif len(blocks) >= 2:
             pattern = "(%s;%%s)" % ",".join(map(str, legs))
-            own = partial(sum, start=(len(legs) + len(blocks),))  # no edge above the centre
             # the second tallest block bounds the centre's height; a kid
             # choice is kept when at least two kids reach it
             for height in range(sorted(map(len, blocks))[-2] - 1):
-                serial_cols, valence_cols, flag_cols = zip(
-                    *[_columns(b, height, n, memo) for b in blocks])
-                keep = list(map((2).__le__, map(sum, itertools.product(*flag_cols))))
-                kids = itertools.compress(itertools.product(*serial_cols), keep)
+                shape = len(legs), tuple(map(len, blocks)), height
+                if shape not in shapes:
+                    options = [_upto(b, height, n, memo) for b in blocks]
+                    keep = [sum(k[3] == height for k in kids) >= 2
+                            for kids in itertools.product(*options)]
+                    own = (len(legs) + len(blocks),)  # no edge above the centre
+                    kids = itertools.compress(itertools.product(*options), keep)
+                    shapes[shape] = keep, [_count_poly(sum((k[4] for k in kid), own))
+                                           for kid in kids]
+                keep, shape_polys = shapes[shape]
+                kids = itertools.product(*[_column(b, height, n, memo) for b in blocks])
+                kids = itertools.compress(kids, keep)
                 serials += map(pattern.__mod__, map("".join, map(sorted, kids)))
-                kids = itertools.compress(itertools.product(*valence_cols), keep)
-                polys += map(_count_poly, map(own, kids))
+                polys += shape_polys
     return serials, polys
 
 
@@ -437,7 +466,9 @@ def _count_poly(valences: tuple) -> IntPoly:
     """Point count of a stratum whose vertices have these valences, in any
     order.  Trees share few valence tuples in the orders _centres joins
     them (32 among the 39208 trees at n = 8, 64 among the 660032 at n = 9),
-    so each is multiplied out once, as each type of the census is."""
+    so each is multiplied out once, as each type of the census is.
+    _centres looks them up once per split shape, not per tree: 754 lookups
+    at n = 8 and 6568 at n = 9."""
     return reduce(poly_mul, map(open_stratum_poly, valences), (1,))
 
 

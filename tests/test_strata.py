@@ -187,8 +187,10 @@ def test_table_rows_follow_the_columns():
 
 
 def test_each_block_is_walked_once(monkeypatch):
-    # the generator walks each label set's splits once, for every height at
-    # once; a block of cap min(|b|, n - |b|) - 2 <= 0 is one vertex, unwalked
+    # the generator walks the splits of the block (1, ..., k) once per size
+    # k, for every height at once, and relabels its nodes for every other
+    # block of k legs; a block of cap min(k, n - k) - 2 <= 0 is one vertex,
+    # unwalked
     walked = Counter()
     splits = strata._splits
 
@@ -199,9 +201,65 @@ def test_each_block_is_walked_once(monkeypatch):
     monkeypatch.setattr(strata, "_splits", counted)
     serials, _ = strata.table_columns.__wrapped__(7)
     assert len(serials) == SCHROEDER[7]
-    assert walked[tuple(range(1, 8))] == 1 and max(walked.values()) == 1
-    assert all(min(len(b), 7 - len(b)) > 2 for b in walked if len(b) < 7)
-    assert len(walked) == 1 + comb(7, 3) + comb(7, 4)
+    assert walked == {tuple(range(1, 8)): 1, (1, 2, 3): 1, (1, 2, 3, 4): 1}
+    walked.clear()
+    strata.table_columns.__wrapped__(8)
+    assert len(walked) == 4 and max(walked.values()) == 1
+    assert all(min(len(b), 8 - len(b)) > 2 for b in walked if len(b) < 8)
+
+
+def _walked_nodes(block, n, memo) -> list:
+    """The nodes on the legs block from a walk of that block's own splits,
+    and of each of its sub-blocks' own splits: no node is relabelled."""
+    if block not in memo:
+        cap = min(len(block), n - len(block)) - 2
+        if cap <= 0:
+            memo[block] = [strata._node(block, ())]
+        else:
+            nodes = [strata._node(legs, kids) for legs, blocks in strata._splits(block)
+                     for kids in itertools.product(
+                         *[[k for k in _walked_nodes(b, n, memo) if k[3] < cap] for b in blocks])]
+            memo[block] = sorted(nodes, key=lambda k: k[3])
+    return memo[block]
+
+
+def test_relabelled_blocks_equal_walked_blocks():
+    # every block of cap > 0 gets, field by field and in order, the nodes
+    # that a walk of its own splits builds, though only (1, ..., k) is walked
+    for n in (7, 8):
+        memo, walked = {}, {}
+        blocks = [b for k in range(3, n) if min(k, n - k) > 2
+                  for b in itertools.combinations(range(1, n + 1), k)]
+        for block in blocks:
+            assert strata._subtrees(block, n, memo) == _walked_nodes(block, n, walked), block
+
+
+def test_relabelling_needs_one_digit_labels(monkeypatch):
+    # _subtrees relabels a block label by label, one character each, so no
+    # label may reach 10; n = 10 is refused before any split is walked
+    assert strata.ENUMERATION_MAX_N <= 9
+
+    def refuse(labels):
+        raise AssertionError("splits were walked beyond the enumeration bound")
+    monkeypatch.setattr(strata, "_splits", refuse)
+    with pytest.raises(ValueError, match=r"n = 10 exceeds the stratum enumeration bound \(9\)"):
+        strata.table_columns(10)
+
+
+# sha256 of table_columns(9) in the format of TABLE_SHA256, edge count
+# n - 2 - len(count_poly), pinned from the generator that walked every
+# block's own splits, before any block was relabelled: it covers the 6-leg
+# blocks that only n = 9 relabels
+COLUMNS_9_SHA256 = "44f29f8baa61acac27de1768965243856909564ab520f5f4f62b7a8e3e401665"
+
+
+def test_n9_columns_digest_pinned():
+    serials, polys = strata.table_columns.__wrapped__(9)  # cold, and not kept
+    assert len(serials) == SCHROEDER[9]
+    assert _sha256_lines(
+        "%s %s %d" % (serial, ",".join(map(str, poly)), 9 - 2 - len(poly))
+        for serial, poly in zip(serials, polys)
+    ) == COLUMNS_9_SHA256
 
 
 def test_census_matches_table():
