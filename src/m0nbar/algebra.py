@@ -142,7 +142,8 @@ class BiSeries:
                 "bivariate series wants exactly %d coefficients, got %d"
                 % (self.order, len(coeffs))
             )
-        if not all(isinstance(c, int) for poly in coeffs for c in poly):
+        if not all(isinstance(c, int) and not isinstance(c, bool)
+                   for poly in coeffs for c in poly):
             raise ValueError("coefficients n! [x^n] must be integer polynomials: %r" % (coeffs,))
         object.__setattr__(self, "coeffs", coeffs)
 

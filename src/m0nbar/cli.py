@@ -13,7 +13,6 @@ import contextlib
 import csv
 import io
 import json
-import os
 import sys
 from collections import Counter
 from functools import reduce
@@ -102,19 +101,10 @@ def cmd_count(args):
 
 
 def cmd_strata(args):
-    raw = os.environ.get("M0NBAR_STRATA_MAX_N") or "8"
-    try:
-        guard = int(raw)
-    except ValueError:
-        raise ValueError("M0NBAR_STRATA_MAX_N must be an integer, not %r" % raw) from None
-    if args.n > guard:
-        raise ValueError(
-            "n = %d exceeds the stratum enumeration guard (%d); "
-            "set M0NBAR_STRATA_MAX_N to raise it" % (args.n, guard)
-        )
     q = args.q
     if q is not None:
         require_prime_power(q)
+    # table_columns refuses n beyond the enumeration bound before any split
     serials, count_polys = strata.table_columns(args.n)
     kinds = Counter(count_polys)
     total_poly = reduce(poly_add, (poly_scale(poly, mult) for poly, mult in kinds.items()))

@@ -35,7 +35,7 @@ class FactoredZeta:
         require_prime(self.p)
         factors = tuple((j, e) for j, e in self.factors)
         for j, e in factors:
-            require_int("j", j)
+            require_size("j", j, 0)
             require_int("e", e)
         if sorted(j for j, _ in factors) != [j for j, _ in factors]:
             raise ValueError("factors must be sorted by j")

@@ -118,6 +118,9 @@ def test_series_validation():
     for bad in (Fraction(1, 2), Fraction(1), 1.0, "1"):
         with pytest.raises(ValueError, match="must be integer polynomials"):
             BiSeries(2, ((), (0, bad)))
+    # bool subclasses int, but poly_str would print True as a coefficient
+    with pytest.raises(ValueError, match="must be integer polynomials"):
+        BiSeries(3, [(), (True,), (False, True)])
     # the order is a nonnegative int, even where its value fits the coefficients
     for bad in (4.0, Fraction(4), "4", None):
         with pytest.raises(ValueError, match="^truncation order = %s is not an int$"

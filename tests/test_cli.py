@@ -140,34 +140,44 @@ def test_strata_csv_and_json_read_back_by_the_stdlib(capsys):
                 for row in table]
 
 
-def test_strata_guard(capsys):
-    code, _, err = run_cli(capsys, "strata", "--n", "9")
-    assert code == 2
-    assert "guard" in err
+def test_strata_guard(capsys, monkeypatch):
+    # n = 10 is refused by the library's bound; n = 9 passes the command and
+    # reaches table_columns(9), which here stops before building any tree
+    assert run_cli(capsys, "strata", "--n", "10") == (
+        2, "", "error: n = 10 exceeds the stratum enumeration bound (9)\n")
+
+    class Reached(Exception):
+        pass
+
+    asked = []
+
+    def record(n):
+        asked.append(n)
+        raise Reached
+    monkeypatch.setattr(strata, "table_columns", record)
+    with pytest.raises(Reached):
+        main(["strata", "--n", "9", "--q", "1009"])
+    assert asked == [9]
 
 
-def test_strata_guard_env(capsys, monkeypatch):
-    monkeypatch.setenv("M0NBAR_STRATA_MAX_N", "6")
-    code, _, err = run_cli(capsys, "strata", "--n", "7")
-    assert code == 2
-    assert "guard" in err
-    monkeypatch.setenv("M0NBAR_STRATA_MAX_N", "7")
-    code, out, _ = run_cli(capsys, "strata", "--n", "7")
-    assert code == 0
-    assert len(out.splitlines()) == 2754  # header + 2752 strata + totals
-    monkeypatch.setenv("M0NBAR_STRATA_MAX_N", "abc")
-    code, _, err = run_cli(capsys, "strata", "--n", "4")
-    assert code == 2
-    assert err == "error: M0NBAR_STRATA_MAX_N must be an integer, not 'abc'\n"
-
-
-def test_strata_guard_env_stops_at_the_library_bound(capsys, monkeypatch):
+def test_strata_stops_at_the_library_bound(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("a tree was generated beyond the enumeration bound")
     monkeypatch.setattr(strata, "_centres", refuse)
-    monkeypatch.setenv("M0NBAR_STRATA_MAX_N", "10")
     assert run_cli(capsys, "strata", "--n", "10") == (
         2, "", "error: n = 10 exceeds the stratum enumeration bound (9)\n")
+    # q is checked before n: both are refused before any work
+    assert run_cli(capsys, "strata", "--n", "10", "--q", "6") == (
+        2, "", "error: q = 6 = 2 * 3 is not a prime power\n")
+
+
+def test_strata_output_ignores_the_environment(capsys, monkeypatch):
+    monkeypatch.delenv("M0NBAR_STRATA_MAX_N", raising=False)
+    expected = run_cli(capsys, "strata", "--n", "4")
+    assert expected[0] == 0
+    for value in ("3", "abc"):
+        monkeypatch.setenv("M0NBAR_STRATA_MAX_N", value)
+        assert run_cli(capsys, "strata", "--n", "4") == expected, value
 
 
 # sha256 of `strata --n 7 --q 9` in each format, pinned from the output of
@@ -482,7 +492,7 @@ def test_verify_strata_small(capsys):
 
 def test_verify_census_guard(capsys):
     # strata and forget read the stratum census, not the enumeration, so
-    # they run past M0NBAR_STRATA_MAX_N up to the census guard
+    # they run past the enumeration bound up to the census guard
     code, out, _ = run_cli(capsys, "verify", "strata", "--max-n", "9", "--q", "2,3")
     assert code == 0
     assert out.splitlines()[-1] == "PASS: all 17 identities hold"
@@ -616,6 +626,20 @@ def test_readme_quick_tour_runs():
     result = doctest.testfile(str(readme), module_relative=False)
     assert result.attempted > 0
     assert result.failed == 0
+
+
+def test_package_reads_no_environment_variable():
+    # output depends on the arguments alone, as cli.py's docstring promises;
+    # os.environ and os.getenv are read as attributes or imported by name
+    readers = {"environ", "environb", "getenv", "getenvb"}
+    reads = []
+    for path in Path(strata.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in readers:
+                reads.append((path.name, node.attr))
+            elif isinstance(node, ast.ImportFrom):
+                reads.extend((path.name, a.name) for a in node.names if a.name in readers)
+    assert reads == []
 
 
 def test_package_imports_only_the_standard_library():

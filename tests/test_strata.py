@@ -6,7 +6,7 @@ from collections import Counter
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import cache
-from math import comb, prod
+from math import comb, factorial, prod
 
 import pytest
 
@@ -302,6 +302,20 @@ def test_census_sizes_are_schroeder():
         stratum_census(2)
     with pytest.raises(ValueError, match=r"census guard \(%d\)" % CENSUS_MAX_N):
         stratum_census(CENSUS_MAX_N + 1)
+
+
+def test_tree_space_euler_characteristic():
+    # the boundary complex of Mbar_{0,n} is the space of phylogenetic trees,
+    # a (k-1)-simplex per tree with k >= 1 edges; it is a wedge of (n-2)!
+    # spheres of dimension n - 4 (Vogtmann 1990; Robinson and Whitehouse
+    # 1996), so sum_k (-1)^k N_k = (-1)^(n-1) (n-2)!, counting the open
+    # stratum as N_0 = 1; the sign weights test the census's edge counts
+    for n in range(4, CENSUS_MAX_N + 1):
+        expected = (-1) ** (n - 1) * factorial(n - 2)
+        assert sum((-1) ** edges * mult for (_, edges), mult in stratum_census(n)) == expected, n
+        if n <= 8:
+            _, polys = strata.table_columns(n)
+            assert sum((-1) ** (n - 2 - len(poly)) for poly in polys) == expected, n
 
 
 def _set_partitions(labels):

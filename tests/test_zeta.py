@@ -96,6 +96,10 @@ def test_factored_zeta_validation():
         FactoredZeta(2, ((1, 1), (0, 1)))
     with pytest.raises(ValueError):
         FactoredZeta(2, ((0, 0),))
+    # a factor (1 - p^j T) with j < 0 has a fractional p^j, so its counts
+    # would be floats and zeta_str would print it as (1-0T)
+    with pytest.raises(ValueError, match="^j must be >= 0$"):
+        FactoredZeta(2, ((-1, 1), (0, 1)))
 
 
 def test_factored_zeta_refuses_non_int_factors():
