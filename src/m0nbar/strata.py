@@ -9,10 +9,11 @@ Stability is the valence bound
     (incident edges) + (assigned legs) >= 3   at every vertex.
 
 Enumeration builds each tree rooted at its graph-theoretic center, so every
-tree comes out once and none is re-rooted or deduplicated.  One loop walks
-the set partitions of the legs, each block a leg or a subtree.  A partition
-into at least three blocks is a center vertex, with no subtrees or two
-tallest subtrees of equal height.  A leg-free partition into two blocks is
+tree comes out once and none is re-rooted or deduplicated.  The center
+splits the legs into blocks, each a leg or a subtree, and these splits are
+cut one shape at a time: a number of legs and the sizes of the larger
+blocks.  Some legs or at least three blocks make a center vertex, with no
+subtrees or two tallest subtrees of equal height; two leg-free blocks make
 the center edge between two subtrees of equal height.  Every vertex of a
 subtree splits the legs below it into at least two blocks (Schroeder's total
 partitions, OEIS A000311).  Subtrees are memoized by leg set, sorted by
@@ -21,14 +22,16 @@ height, so those up to any height are a prefix.  The splits of the block
 height a center can hang there, and every other block of k legs relabels
 those nodes by the order-preserving map i -> block[i - 1].  Labels are
 single digits while n <= 9, so the relabelling keeps every sort that makes
-a serial canonical, and the count polynomials of a center's split depend on
-its shape alone: they are multiplied out once per shape.  The generator
-makes a serial and a count polynomial per tree and nothing else; table_columns
-sorts them, and a row or a DualTree is built only when strata_table is
-read.  A vertex with b blocks has valence b + 1, so the block sizes of the
-splits give the census of stratum types without building a tree: one
-integer partition of the legs stands for every set partition with its block
-sizes.
+a serial canonical, and which kid choices a center keeps, their count
+polynomials and their vertex counts depend on its shape alone: they are
+worked out once per shape and height, and each vertex count then takes one
+pass over every split of the shape.  The generator files a serial and a
+count polynomial per tree under the tree's vertex count and makes nothing
+else; table_columns sorts each of those buckets by serial, and a row or a
+DualTree is built only when strata_table is read.  A vertex with b blocks
+has valence b + 1, so the block sizes of the splits give the census of
+stratum types without building a tree: one integer partition of the legs
+stands for every set partition with its block sizes.
 
 Canonical form: a tree is serialized rooted at each graph-theoretic center
 as "(sorted,legs;child1child2...)" with children sorted by their own
@@ -57,11 +60,11 @@ from operator import itemgetter
 from .algebra import (IntPoly, is_prime, poly_mul, require_int, require_prime_power,
                       require_size)
 
-ORBIT_GUARD_MAX_Q = 7   # the walk tests q points per matrix: 7^5 = 16807 tests, 3 ms at q = 7
+ORBIT_GUARD_MAX_Q = 7   # the walk reads a q^3 table of roots per matrix: 7^4 matrices, 1 ms at q = 7
 CENSUS_MAX_N = 20       # cold, the census takes 0.4 s and 17 MB at n = 20, 1.1-1.4 s at n = 22
 ENUMERATION_MAX_N = 9   # relabelling blocks needs one-digit labels 1..9; cold strata_table:
-                        # 660032 trees in 2.7-2.9 s and 175 MB (its columns alone 1.0-1.4 s
-                        # and 125 MB); n = 10 has 12818912
+                        # 660032 trees in 2.2-2.6 s and 171 MB (its columns, built by shape
+                        # and sorted by vertex count, 0.8-0.9 s and 109 MB); n = 10 has 12818912
 
 
 def _frozen(cls):
@@ -267,9 +270,9 @@ def make_tree(vertex_count: int, edges, legs) -> DualTree:
     for layer in layers:  # from the earlier layers only, so a centre edge's ends stay apart
         built = [_node(legs_at[v], [node[u] for u in adj[v] if u in node]) for v in layer]
         node.update(zip(layer, built))
-    if len(built) == 2:  # a centre edge: the smaller serialization wins, as in _centres
-        x, y = built
-        return DualTree(len(x[4]) + len(y[4]), None, None, min(_rooted_at(x, y), _rooted_at(y, x)))
+    if len(built) == 2:  # a centre edge, rooted at the end whose serial is smaller, as in _centres
+        x, y = sorted(built)
+        return DualTree(len(x[4]) + len(y[4]), None, None, _rooted_at(x, y))
     return DualTree(len(built[0][4]), None, None, built[0][0])
 
 
@@ -345,60 +348,100 @@ def _column(block, top, n, memo) -> list:
     return memo[key]
 
 
+def _cuts(pool, sizes):
+    """Every set partition of the tuple pool into blocks of the given sizes,
+    a non-decreasing tuple, once each, as a list of blocks in the order of
+    sizes; blocks of one size come in the order of their least labels."""
+    if not sizes:
+        yield []
+        return
+    # the block that holds pool[0] takes each distinct size in turn
+    first, rest = pool[:1], pool[1:]
+    for i, size in enumerate(sizes):
+        if i and size == sizes[i - 1]:
+            continue
+        for more in itertools.combinations(rest, size - 1):
+            left = tuple(label for label in rest if label not in more)
+            for blocks in _cuts(left, sizes[:i] + sizes[i + 1:]):
+                blocks.insert(i, first + more)
+                yield blocks
+
+
+def _shape_splits(n: int, legs: int, sizes: tuple) -> tuple:
+    """(patterns, blocks) of the splits of the legs 1..n into legs legs and
+    blocks of the given sizes: the pattern "(legs;%s)" of each split, and
+    for each place in sizes the block there of each split, in the same
+    order.  The cuts of 0, ..., n - legs - 1 are made once, and each set of
+    legs relabels them by the labels it leaves."""
+    labels = tuple(range(1, n + 1))
+    cuts = list(_cuts(tuple(range(n - legs)), sizes))
+    owns = list(itertools.combinations(labels, legs))
+    patterns, pools = [], []
+    for own in owns:
+        patterns += ["(%s;%%s)" % ",".join(map(str, own))] * len(cuts)
+        pools += [tuple(label for label in labels if label not in own)] * len(cuts)
+    # itemgetter(*block) picks a block of two or more labels out of a pool
+    blocks = [list(map(itemgetter.__call__, [itemgetter(*cut[i]) for cut in cuts] * len(owns), pools))
+              for i in range(len(sizes))]
+    return patterns, blocks
+
+
 def _centres(n: int) -> tuple:
-    """(serials, count polynomials) of every stable tree with legs 1..n,
-    once each, serialized from its centre, in the order they are made.
+    """((serials, count polynomials) of the trees with V vertices, for
+    V = 1, ..., n - 2): every stable tree with legs 1..n, once each,
+    serialized from its centre, filed under its vertex count as it is made.
 
     The centre is a vertex with legs or at least three blocks and either no
     kids or two tallest kids of equal height, or, for a leg-free split into
-    two blocks, the edge between two kids of equal height.  The ends of that
-    edge carry disjoint legs and ";" is in no leg, so the heads "(legs;" of
-    the two serials decide which end roots the tree, unless both ends are
-    leg-free.  Blocks of one size carry the same heights and valences in the
-    same order, so the count polynomials of a split, and which kid choices
-    it keeps, depend on its shape alone: they are worked out once per shape,
-    and every split of that shape reads them.
+    two blocks, the edge between two kids of equal height, and the tree is
+    rooted at the end of that edge whose serial is smaller.  The splits of
+    the centre are cut one shape at a time: a number of legs and the sizes
+    of the blocks.  Blocks of one size carry the same heights and valences
+    in the same order, so which kid choices a split keeps, their count
+    polynomials and their vertex counts, 1 + the kids' for a centre vertex
+    and the kids' for a centre edge, depend on the shape alone.  They are
+    worked out once per shape and height, and each vertex count then takes
+    one pass over every split of the shape, reading each block's serials
+    from a memo filled once per block and height.  A shape's splits are
+    cut when it is walked and dropped after it: 14 shapes with 3892 splits
+    at n = 8, 21 with 20644 at n = 9, besides the one-vertex tree.
     """
-    memo, shapes, serials, polys = {}, {}, [], []
-    for legs, blocks in _splits(tuple(range(1, n + 1))):
-        if not blocks:
-            serials.append(_node(legs, ())[0])
-            polys.append(_count_poly((n,)))
-        elif len(blocks) == 2 and not legs:
-            # kids of equal height on both blocks; both blocks have every
-            # height up to their common cap
-            pairs = [(x, y) for (_, xs), (_, ys) in
-                     zip(*[itertools.groupby(_subtrees(b, n, memo), _height) for b in blocks])
-                     for x, y in itertools.product(xs, ys)]
-            for x, y in pairs:
-                if x[1] == y[1]:  # both heads are "(;"
-                    serials.append(min(_rooted_at(x, y), _rooted_at(y, x)))
-                else:
-                    serials.append(_rooted_at(x, y) if x[0] < y[0] else _rooted_at(y, x))
-            shape = tuple(map(len, blocks))
-            if shape not in shapes:
-                shapes[shape] = [_count_poly(x[4] + y[4]) for x, y in pairs]
-            polys += shapes[shape]
-        elif len(blocks) >= 2:
-            pattern = "(%s;%%s)" % ",".join(map(str, legs))
+    memo = {}
+    serials, polys = [[] for _ in range(n - 2)], [[] for _ in range(n - 2)]
+    serials[0].append(_node(tuple(range(1, n + 1)), ())[0])
+    polys[0].append(_count_poly((n,)))
+    for legs in range(n - 3):
+        for sizes in _integer_partitions(n - legs, n - legs):
+            if len(sizes) < 2 or sizes[-1] < 2:
+                continue
+            sizes = tuple(reversed(sizes))
+            patterns, blocks = _shape_splits(n, legs, sizes)
+            edge = not legs and len(sizes) == 2
+            own = () if edge else (legs + len(sizes),)  # no edge above the centre
+            read = _upto if edge else _column  # an edge's ends give heads and kids too
             # the second tallest block bounds the centre's height; a kid
             # choice is kept when at least two kids reach it
-            for height in range(sorted(map(len, blocks))[-2] - 1):
-                shape = len(legs), tuple(map(len, blocks)), height
-                if shape not in shapes:
-                    options = [_upto(b, height, n, memo) for b in blocks]
-                    keep = [sum(k[3] == height for k in kids) >= 2
+            for height in range(sizes[-2] - 1):
+                options = [_upto(column[0], height, n, memo) for column in blocks]
+                vertices = [len(own) + sum(len(k[4]) for k in kids)
+                            if sum(k[3] == height for k in kids) >= 2 else 0
                             for kids in itertools.product(*options)]
-                    own = (len(legs) + len(blocks),)  # no edge above the centre
-                    kids = itertools.compress(itertools.product(*options), keep)
-                    shapes[shape] = keep, [_count_poly(sum((k[4] for k in kid), own))
-                                           for kid in kids]
-                keep, shape_polys = shapes[shape]
-                kids = itertools.product(*[_column(b, height, n, memo) for b in blocks])
-                kids = itertools.compress(kids, keep)
-                serials += map(pattern.__mod__, map("".join, map(sorted, kids)))
-                polys += shape_polys
-    return serials, polys
+                columns = [[read(b, height, n, memo) for b in column] for column in blocks]
+                for v in sorted(set(vertices) - {0}):
+                    keep = [w == v for w in vertices]
+                    batch = [_count_poly(sum((k[4] for k in kids), own))
+                             for kids in itertools.compress(itertools.product(*options), keep)]
+                    kids = itertools.chain.from_iterable(map(
+                        itertools.compress, map(itertools.product, *columns), itertools.repeat(keep)))
+                    if edge:
+                        serials[v - 1] += [_rooted_at(x, y) if x[0] < y[0] else _rooted_at(y, x)
+                                           for x, y in kids]
+                    else:
+                        heads = itertools.chain.from_iterable(
+                            map(itertools.repeat, patterns, itertools.repeat(len(batch))))
+                        serials[v - 1] += map(str.__mod__, heads, map("".join, map(sorted, kids)))
+                    polys[v - 1] += batch * len(patterns)
+    return tuple(zip(serials, polys))
 
 
 def enumerate_stable_trees(n: int) -> tuple:
@@ -465,10 +508,10 @@ def open_stratum_poly(m: int) -> IntPoly:
 def _count_poly(valences: tuple) -> IntPoly:
     """Point count of a stratum whose vertices have these valences, in any
     order.  Trees share few valence tuples in the orders _centres joins
-    them (32 among the 39208 trees at n = 8, 64 among the 660032 at n = 9),
+    them (24 among the 39208 trees at n = 8, 45 among the 660032 at n = 9),
     so each is multiplied out once, as each type of the census is.
-    _centres looks them up once per split shape, not per tree: 754 lookups
-    at n = 8 and 6568 at n = 9."""
+    _centres looks them up once per kid choice of a split shape and height,
+    not per tree: 535 lookups at n = 8 and 3388 at n = 9."""
     return reduce(poly_mul, map(open_stratum_poly, valences), (1,))
 
 
@@ -491,15 +534,18 @@ def table_columns(n: int) -> tuple:
 
     A stratum with V vertices has a count polynomial of degree n - 2 - V,
     so V is n - 1 - len(count_poly), and neither a tree nor a row is built.
-    The memo is typed, so 5.0 never reads the entry of 5 and is refused here.
+    _centres files every tree under its vertex count, so only each of those
+    n - 2 buckets is sorted, by serial: at n = 9 the sorts and the gather
+    take a quarter to a third of the call.  The memo is typed, so 5.0
+    never reads the entry of 5 and is refused here.
     """
     require_size("n", n, 3, ENUMERATION_MAX_N, "the stratum enumeration bound")
-    serials, polys = _centres(n)
-    # stable sorts of indices on one key each, serials and then fewer
-    # vertices first, beat one sort on pairs
-    order = sorted(range(len(serials)), key=serials.__getitem__)
-    order.sort(key=list(map(len, polys)).__getitem__, reverse=True)
-    return tuple(map(serials.__getitem__, order)), tuple(map(polys.__getitem__, order))
+    serials, polys = [], []
+    for bucket, bucket_polys in _centres(n):
+        order = sorted(range(len(bucket)), key=bucket.__getitem__)
+        serials += map(bucket.__getitem__, order)
+        polys += map(bucket_polys.__getitem__, order)
+    return tuple(serials), tuple(polys)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -576,10 +622,15 @@ def _fixed_point_counts(p: int) -> tuple:
     points of P^1(F_p).  z -> (az + b)/(cz + d) fixes oo iff c = 0, and a
     finite z iff c z^2 + (d - a) z - b = 0 mod p, a root that an invertible
     matrix never sends to oo."""
+    # roots[(c p + e) p + b] counts the roots of c z^2 + e z - b, tabled once
+    roots = []
+    for c, e in itertools.product(range(p), repeat=2):
+        values = Counter((c * z * z + e * z) % p for z in range(p))
+        roots += map(values.__getitem__, range(p))
     counts = [0] * (p + 2)
     for a, b, c, d in itertools.product(range(p), repeat=4):
         if (a * d - b * c) % p:
-            counts[(c == 0) + sum((c * z * z + (d - a) * z - b) % p == 0 for z in range(p))] += 1
+            counts[(c == 0) + roots[(c * p + (d - a) % p) * p + b]] += 1
     return tuple(counts)
 
 

@@ -190,7 +190,8 @@ def test_each_block_is_walked_once(monkeypatch):
     # the generator walks the splits of the block (1, ..., k) once per size
     # k, for every height at once, and relabels its nodes for every other
     # block of k legs; a block of cap min(k, n - k) - 2 <= 0 is one vertex,
-    # unwalked
+    # unwalked.  The centre's own splits are cut shape by shape, and never
+    # walked through _splits
     walked = Counter()
     splits = strata._splits
 
@@ -201,11 +202,78 @@ def test_each_block_is_walked_once(monkeypatch):
     monkeypatch.setattr(strata, "_splits", counted)
     serials, _ = strata.table_columns.__wrapped__(7)
     assert len(serials) == SCHROEDER[7]
-    assert walked == {tuple(range(1, 8)): 1, (1, 2, 3): 1, (1, 2, 3, 4): 1}
+    assert walked == {(1, 2, 3): 1, (1, 2, 3, 4): 1}
     walked.clear()
     strata.table_columns.__wrapped__(8)
-    assert len(walked) == 4 and max(walked.values()) == 1
-    assert all(min(len(b), 8 - len(b)) > 2 for b in walked if len(b) < 8)
+    assert len(walked) == 3 and max(walked.values()) == 1
+    assert all(min(len(b), 8 - len(b)) > 2 for b in walked)
+
+
+def test_centre_splits_are_cut_once_each(monkeypatch):
+    # the shapes _centres cuts give, once each, every set partition of the
+    # legs with at least two blocks of two or more legs, singletons as the
+    # centre's legs; each shape is cut once and its blocks are in size order
+    shape_splits = strata._shape_splits
+    for n in range(4, 9):
+        cut, shapes = Counter(), Counter()
+
+        def counted(*shape):
+            shapes[shape] += 1
+            patterns, blocks = shape_splits(*shape)
+            for pattern, split in zip(patterns, zip(*blocks)):
+                assert tuple(map(len, split)) == shape[2]
+                cut[pattern, frozenset(split)] += 1
+            return patterns, blocks
+
+        monkeypatch.setattr(strata, "_shape_splits", counted)
+        strata._centres(n)
+        expected = Counter()
+        for blocks in _set_partitions(list(range(1, n + 1))):
+            big = [tuple(b) for b in blocks if len(b) > 1]
+            if len(big) >= 2:
+                legs = sorted(b[0] for b in blocks if len(b) == 1)
+                expected["(%s;%%s)" % ",".join(map(str, legs)), frozenset(big)] += 1
+        assert cut == expected, n
+        assert set(shapes.values()) == {1}, n
+
+
+def test_columns_are_the_sorted_buckets():
+    # _centres files each tree under its vertex count V, and its count
+    # polynomial has n - 1 - V coefficients; table_columns sorts each bucket
+    # by serial, which is the whole table sorted by (-len(poly), serial)
+    for n in range(3, 9):
+        buckets = strata._centres(n)
+        assert len(buckets) == n - 2, n
+        for vertices, (serials, polys) in enumerate(buckets, start=1):
+            assert len(serials) == len(polys)
+            assert {len(poly) for poly in polys} <= {n - 1 - vertices}, (n, vertices)
+        trees = sorted(((serial, poly) for bucket in buckets for serial, poly in zip(*bucket)),
+                       key=lambda tree: (-len(tree[1]), tree[0]))
+        assert list(zip(*strata.table_columns(n))) == trees, n
+
+
+def test_centre_edges_are_rooted_at_the_smaller_serial():
+    # a centre edge is rooted at the end whose serial is smaller; where both
+    # ends are leg-free this agrees with taking the smaller of the tree's two
+    # serials, on every such pair up to n = 8 (n = 9 is held by
+    # COLUMNS_9_SHA256); a leg-free end needs two kids of two or more legs,
+    # so the first such pairs come at n = 8
+    found = {}
+    for n in range(4, 9):
+        memo, found[n] = {}, 0
+        for k in range(2, n // 2 + 1):
+            for block in itertools.combinations(range(1, n + 1), k):
+                other = tuple(label for label in range(1, n + 1) if label not in block)
+                if k == n - k and block > other:
+                    continue
+                for x, y in itertools.product(strata._subtrees(block, n, memo),
+                                              strata._subtrees(other, n, memo)):
+                    if x[3] == y[3] and x[1] == y[1] == "(;":
+                        found[n] += 1
+                        top, below = sorted((x, y))
+                        assert strata._rooted_at(top, below) == min(
+                            strata._rooted_at(x, y), strata._rooted_at(y, x))
+    assert found == {4: 0, 5: 0, 6: 0, 7: 0, 8: 315}
 
 
 def _walked_nodes(block, n, memo) -> list:
@@ -729,6 +797,21 @@ def test_orbit_walk_covers_gl2():
         counts = strata._fixed_point_counts(q)
         assert sum(counts) == (q * q - 1) * (q * q - q), q
         assert counts[q + 1] == q - 1, q
+
+
+def test_fixed_point_counts_match_a_count_per_matrix():
+    # each invertible matrix acts on P^1(F_p) = F_p + {oo}: oo is fixed when
+    # c = 0, and a finite z when c z + d != 0 and a z + b = z (c z + d)
+    for p in (2, 3, 5, 7):
+        counts = [0] * (p + 2)
+        for a, b, c, d in itertools.product(range(p), repeat=4):
+            if (a * d - b * c) % p:
+                fixed = int(c == 0)
+                for z in range(p):
+                    if (c * z + d) % p and (a * z + b - z * (c * z + d)) % p == 0:
+                        fixed += 1
+                counts[fixed] += 1
+        assert strata._fixed_point_counts(p) == tuple(counts), p
 
 
 def test_orbit_oracle_sees_a_wrong_walk(monkeypatch):
